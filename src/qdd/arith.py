@@ -11,6 +11,12 @@ entries are shared across scaled versions of the same subproblem.
 Addition additionally keys on the relative weight of its (canonically
 ordered) operands. Recursion depth equals the number of levels; large
 instances must run on a deep stack (see sim.run_deep).
+
+The levels of a matrix-vector product above the matrix root are pure
+identity: there the product only rebuilds the paths of the vector down
+to the matrix root. That region is memoized per call, keyed by vector
+node, and never touches the compute table; the table is consulted only
+at and below the matrix root.
 """
 
 from __future__ import annotations
@@ -30,7 +36,42 @@ def multiply_mv(store: NodeStore, u: tuple, v: tuple, level: int) -> tuple:
     ut = u[0]
     if ut >= 0 and store.m_level[ut] > level:
         raise StoreError(f"matrix rooted above level {level}")
-    return _mul_mv(store, u[0], u[1], v[0], v[1], level)
+    if ut < 0 or store.m_level[ut] == level:
+        return _mul_mv(store, ut, u[1], vt, v[1], level)
+    w = store.weights.mul(u[1], v[1])
+    if w == ZERO:
+        return ZERO_EDGE
+    return _mul_mv_above(store, ut, store.m_level[ut], vt, w, level, {})
+
+
+def _mul_mv_above(store, ut, ulevel, vt, vw, level, memo):
+    """U*v for a nonzero vector edge at `level` above ulevel, the root level
+    of matrix node ut. The levels in between are identity, so each vector
+    node has one result for the whole call; memo holds them by vt (without
+    it a state like H^n would take 2^level paths)."""
+    r = memo.get(vt)
+    if r is None:
+        t0, w0, t1, w1 = store.v_succ[vt]
+        below = level - 1
+        if below == ulevel:
+            e0 = ZERO_EDGE if w0 == ZERO else _mul_mv(store, ut, ONE, t0, w0, below)
+            e1 = ZERO_EDGE if w1 == ZERO else _mul_mv(store, ut, ONE, t1, w1, below)
+        else:
+            e0 = ZERO_EDGE if w0 == ZERO else _mul_mv_above(store, ut, ulevel, t0, w0, below, memo)
+            e1 = ZERO_EDGE if w1 == ZERO else _mul_mv_above(store, ut, ulevel, t1, w1, below, memo)
+        if e0[0] == t0 and e0[1] == w0 and e1[0] == t1 and e1[1] == w1:
+            # children untouched: the stored node is already the result
+            r = (vt, ONE)
+        else:
+            r = make_vector_node(store, level, e0, e1)
+        memo[vt] = r
+    rw = r[1]
+    if rw == ONE:
+        return (r[0], vw)
+    if vw == ONE or rw == ZERO:
+        return r
+    w = store.weights.mul(vw, rw)
+    return ZERO_EDGE if w == ZERO else (r[0], w)
 
 
 def _mul_mv(store, ut, uw, vt, vw, level):
@@ -46,7 +87,7 @@ def _mul_mv(store, ut, uw, vt, vw, level):
             return ZERO_EDGE
     if ut == TERMINAL:
         return (vt, ow)
-    key = (ut, vt, level)
+    key = (ut, vt)  # vector nodes never skip, so level == v_level[vt]
     hit = store.ct_lookup(MUL_MV, key)
     if hit is not None:
         r = hit

@@ -103,14 +103,6 @@ def make_matrix_node(store: NodeStore, level: int, succ, mode: str = MODE_NEW) -
     In new mode an identity-shaped candidate is discarded and its first
     successor returned with the normalization factor folded in."""
     (t0, w0), (t1, w1), (t2, w2), (t3, w3) = succ
-    if w0 == ZERO:
-        t0 = ZERO_STUB
-    if w1 == ZERO:
-        t1 = ZERO_STUB
-    if w2 == ZERO:
-        t2 = ZERO_STUB
-    if w3 == ZERO:
-        t3 = ZERO_STUB
     if w0 == ZERO and w1 == ZERO and w2 == ZERO and w3 == ZERO:
         return ZERO_EDGE_M
     wt = store.weights
@@ -123,6 +115,16 @@ def make_matrix_node(store: NodeStore, level: int, succ, mode: str = MODE_NEW) -
         w1 = div(w1, norm)
         w2 = div(w2, norm)
         w3 = div(w3, norm)
+    # after the division, so a weight tiny next to the norm that interned
+    # to ZERO there gets the stub too (dropping it leaves the norm as is)
+    if w0 == ZERO:
+        t0 = ZERO_STUB
+    if w1 == ZERO:
+        t1 = ZERO_STUB
+    if w2 == ZERO:
+        t2 = ZERO_STUB
+    if w3 == ZERO:
+        t3 = ZERO_STUB
     if (
         mode != MODE_LEGACY
         and w1 == ZERO

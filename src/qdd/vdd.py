@@ -48,7 +48,16 @@ def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tupl
     lv = wt.values[lead]
     factor = (math.sqrt(n2) / abs(lv)) * lv
     fh = wt.intern(factor.real, factor.imag)
-    node, _ = store.ut_lookup(VEC, level, (t0, wt.div(w0, fh), t1, wt.div(w1, fh)))
+    w0 = wt.div(w0, fh)
+    w1 = wt.div(w1, fh)
+    if (w0 == ZERO and t0 != ZERO_STUB) or (w1 == ZERO and t1 != ZERO_STUB):
+        # A weight tiny next to the other interned to ZERO only after the
+        # division. Drop it before normalizing, as a zero-edge caller would:
+        # it may have been the lead that fixed the phase.
+        return make_vector_node(
+            store, level, ZERO_EDGE if w0 == ZERO else e0, ZERO_EDGE if w1 == ZERO else e1
+        )
+    node, _ = store.ut_lookup(VEC, level, (t0, w0, t1, w1))
     return (node, fh)
 
 

@@ -11,6 +11,7 @@ from qdd import (
     NodeStore,
     add_matrices,
     add_vectors,
+    amplitude,
     kron,
     make_basis_state,
     make_gate_dd,
@@ -26,6 +27,7 @@ from qdd.weights import ONE
 SQ2 = 1.0 / math.sqrt(2.0)
 H = (SQ2, SQ2, SQ2, -SQ2)
 X = (0, 1, 1, 0)
+Z = (1, 0, 0, -1)
 
 
 @pytest.fixture
@@ -50,6 +52,21 @@ def test_terminal_matrix_edge_is_scaled_identity(store):
     scaled = multiply_mv(store, (TERMINAL, half), state, 3)
     assert scaled[0] == state[0]
     assert abs(store.weights.value(scaled[1]) - 0.5) < 1e-13
+
+
+def test_skip_region_memoized_per_vector_node():
+    # H on all 64 levels gives a chain whose nodes have equal successors,
+    # so a skip recursion without a per-node memo would take 2^63 paths
+    n = 64
+    store = NodeStore(n)
+    state = make_basis_state(store, n, "0" * n)
+    for level in range(n):
+        state = multiply_mv(store, make_gate_dd(store, GateSpec(H, level), n, "new"), state, n - 1)
+    created = store.created_v
+    state = multiply_mv(store, make_gate_dd(store, GateSpec(Z, 0), n, "new"), state, n - 1)
+    assert store.created_v - created == n
+    assert abs(amplitude(store, state, 0) - 2.0**-32) < 1e-22
+    assert abs(amplitude(store, state, 2**n - 1) + 2.0**-32) < 1e-22
 
 
 def test_single_node_gate_on_100_qubits():

@@ -8,8 +8,8 @@ import pytest
 from dense import read_matrix, spec_matrix
 from qdd import GateSpec, NodeStore, kron, make_gate_dd, make_matrix_node, matrix_entry
 from qdd.mdd import ZERO_EDGE_M, identity_chain, identity_node_ids, node_count, resembles_identity
-from qdd.store import StoreError, TERMINAL
-from qdd.weights import ONE
+from qdd.store import StoreError, TERMINAL, ZERO_STUB
+from qdd.weights import ONE, ZERO
 
 SQ2 = 1.0 / math.sqrt(2.0)
 H = (SQ2, SQ2, SQ2, -SQ2)
@@ -58,6 +58,17 @@ def test_make_matrix_node_keeps_identity_in_legacy_mode(store):
 
 def test_all_zero_successors(store):
     assert make_matrix_node(store, 3, [ZERO_EDGE_M] * 4, "new") == ZERO_EDGE_M
+
+
+def test_weight_zeroed_by_normalization_gets_stub(store):
+    # 1.5e-13 survives interning but not division by the norm 2.0
+    wt = store.weights
+    two = (TERMINAL, wt.intern(2.0))
+    minus_two = (TERMINAL, wt.intern(-2.0))
+    tiny = make_matrix_node(store, 0, [two, (TERMINAL, wt.intern(1.5e-13)), ZERO_EDGE_M, minus_two], "new")
+    exact = make_matrix_node(store, 0, [two, ZERO_EDGE_M, ZERO_EDGE_M, minus_two], "new")
+    assert tiny == exact
+    assert store.m_succ[tiny[0]][2:4] == (ZERO_STUB, ZERO)
 
 
 def test_h_gate_new_mode_one_node_weight(store):

@@ -7,9 +7,9 @@ import pytest
 
 from dense import build_vdd, random_state, read_state
 from qdd import NodeStore, add_vectors, amplitude, make_basis_state, make_vector_node, vnorm2
-from qdd.store import TERMINAL
+from qdd.store import TERMINAL, ZERO_STUB
 from qdd.vdd import ZERO_EDGE, check_normalization, node_count
-from qdd.weights import ONE
+from qdd.weights import ONE, ZERO
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -41,6 +41,20 @@ def test_equal_halves_normalize():
     _, w0, _, w1 = store.v_succ[edge[0]]
     assert abs(wt.value(w0) - SQ2) < 1e-13
     assert abs(wt.value(w1) - SQ2) < 1e-13
+
+
+def test_weight_zeroed_by_normalization_gets_stub(store):
+    # 1.5e-13 is above the weight tolerance, but 7.5e-14 after dividing by
+    # the norm 2 is not: the node must match the one built from ZERO_EDGE
+    wt = store.weights
+    tiny = (TERMINAL, wt.intern(1.5e-13))
+    big = (TERMINAL, wt.intern(2.0))
+    assert make_vector_node(store, 0, big, tiny) == make_vector_node(store, 0, big, ZERO_EDGE)
+    assert store.v_succ[make_vector_node(store, 0, big, tiny)[0]] == (TERMINAL, ONE, ZERO_STUB, ZERO)
+    # a tiny first weight also fixed the phase; dropping it must move the
+    # lead to the second weight
+    neg = (TERMINAL, wt.intern(-2.0))
+    assert make_vector_node(store, 0, tiny, neg) == make_vector_node(store, 0, ZERO_EDGE, neg)
 
 
 def test_basis_state_amplitudes(store):
