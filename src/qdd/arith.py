@@ -27,12 +27,19 @@ from .vdd import ZERO_EDGE, make_vector_node
 from .weights import ONE, ZERO
 
 
+def _misrooted(store: NodeStore, vt: int, level: int) -> StoreError:
+    """Vectors never skip levels: the error for a nonzero vector edge at
+    level >= 0 whose target is not a node rooted at `level`."""
+    found = f"rooted at {store.v_level[vt]}" if vt >= 0 else "not a node"
+    return StoreError(f"vector is {found}, expected a node at level {level}")
+
+
 def multiply_mv(store: NodeStore, u: tuple, v: tuple, level: int) -> tuple:
     """Matrix-vector product U*v with v rooted at `level`. Skipped matrix
     levels act as identity; a terminal matrix edge is a scaled identity."""
     vt = v[0]
-    if vt >= 0 and store.v_level[vt] != level:
-        raise StoreError(f"vector rooted at {store.v_level[vt]}, expected {level}")
+    if v[1] != ZERO and level >= 0 and (vt < 0 or store.v_level[vt] != level):
+        raise _misrooted(store, vt, level)
     ut = u[0]
     if ut >= 0 and store.m_level[ut] > level:
         raise StoreError(f"matrix rooted above level {level}")
@@ -140,9 +147,9 @@ def _mul_mv(store, ut, uw, vt, vw, level):
 
 def add_vectors(store: NodeStore, a: tuple, b: tuple, level: int) -> tuple:
     """Elementwise sum of two states rooted at `level` (or zero edges)."""
-    for e in (a, b):
-        if e[0] >= 0 and store.v_level[e[0]] != level:
-            raise StoreError(f"vector rooted at {store.v_level[e[0]]}, expected {level}")
+    for t, w in (a, b):
+        if w != ZERO and level >= 0 and (t < 0 or store.v_level[t] != level):
+            raise _misrooted(store, t, level)
     return _add_v(store, a, b, level)
 
 

@@ -7,7 +7,10 @@ below its conceptual level denotes identity factors on every skipped
 level, and nodes of the shape [e*1, 0, 0, e*1] -- a level that acts as
 identity -- are never materialized: node creation hands back e itself.
 "legacy" mode restores the conventional full-height representation in
-which every gate is padded with explicit identity nodes.
+which every gate is padded with explicit identity nodes. The identity
+chains I_0 .. I_k that padding reads are kept in the store's identity
+table (NodeStore.identity_m), so a legacy gate looks up only its own
+nodes, not the identity structure below them, in the unique table.
 
 Stored nodes are normalized by the first successor weight of maximal
 magnitude, folded into the incoming edge. That keeps identity-shaped
@@ -141,15 +144,17 @@ def make_matrix_node(store: NodeStore, level: int, succ, mode: str = MODE_NEW) -
 
 def identity_chain(store: NodeStore, top_level: int, mode: str = MODE_NEW) -> tuple:
     """Identity operator over levels [0, top_level]. The skipped (terminal)
-    edge in new mode; an explicit node chain in legacy mode."""
-    edge = (TERMINAL, ONE)
-    if mode != MODE_LEGACY:
-        return edge
-    for level in range(top_level + 1):
-        edge = make_matrix_node(
-            store, level, (edge, ZERO_EDGE_M, ZERO_EDGE_M, edge), MODE_LEGACY
+    edge in new mode; an explicit node chain in legacy mode, read from the
+    store's identity table and extended from its highest entry if short."""
+    if mode != MODE_LEGACY or top_level < 0:
+        return (TERMINAL, ONE)
+    chain = store.identity_m
+    while len(chain) <= top_level:
+        edge = chain[-1] if chain else (TERMINAL, ONE)
+        chain.append(
+            make_matrix_node(store, len(chain), (edge, ZERO_EDGE_M, ZERO_EDGE_M, edge), MODE_LEGACY)
         )
-    return edge
+    return chain[top_level]
 
 
 def make_gate_dd(store: NodeStore, spec: GateSpec, n: int, mode: str = MODE_NEW) -> tuple:
@@ -183,10 +188,23 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int, mode: str = MODE_NEW)
                     store, level, (inactive, ZERO_EDGE_M, ZERO_EDGE_M, active), mode
                 )
         else:
+            # legacy padding: a quadrant w*I_{level-1} becomes w*I_level, the
+            # edge make_matrix_node would return; I_{level-1} is recognized
+            # only if the identity table already holds it
+            if level == 0:
+                ident = TERMINAL
+            elif level <= len(store.identity_m):
+                ident = store.identity_m[level - 1][0]
+            else:
+                ident = None
             for idx in range(4):
-                quads[idx] = make_matrix_node(
-                    store, level, (quads[idx], ZERO_EDGE_M, ZERO_EDGE_M, quads[idx]), mode
-                )
+                q = quads[idx]
+                if q[1] == ZERO:
+                    continue
+                if q[0] == ident:
+                    quads[idx] = (identity_chain(store, level, mode)[0], q[1])
+                else:
+                    quads[idx] = make_matrix_node(store, level, (q, ZERO_EDGE_M, ZERO_EDGE_M, q), mode)
 
     edge = make_matrix_node(store, target, tuple(quads), mode)
 
@@ -316,16 +334,8 @@ def node_count(store: NodeStore, m: tuple) -> int:
 def identity_node_ids(store: NodeStore) -> list[int]:
     """Allocated matrix nodes that resemble identity; must be empty for
     any store driven purely in new mode."""
-    out = []
-    for node, _level, succ in store.matrix_nodes():
-        t0, w0, t1, w1, t2, w2, t3, w3 = succ
-        if (
-            w1 == ZERO
-            and w2 == ZERO
-            and t0 == t3
-            and t0 != ZERO_STUB
-            and w0 == ONE
-            and w3 == ONE
-        ):
-            out.append(node)
-    return out
+    return [
+        node
+        for node, _level, succ in store.matrix_nodes()
+        if resembles_identity(zip(succ[0::2], succ[1::2]))
+    ]

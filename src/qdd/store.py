@@ -16,10 +16,11 @@ on any other target.
 Reference counts propagate transitively: when a node first becomes
 referenced its children gain a reference, and when it ceases to be they
 lose one. A node whose count is zero is reclaimable; reclamation is
-deferred to collect_garbage, which also clears the compute table because
-cached results may name swept nodes. Automatic collection only happens
-at safe points (maybe_collect), never in the middle of a recursion whose
-intermediate nodes are not yet referenced.
+deferred to collect_garbage, which also clears the compute table and the
+legacy identity table because their entries may name swept nodes.
+Automatic collection only happens at safe points (maybe_collect), never
+in the middle of a recursion whose intermediate nodes are not yet
+referenced.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class NodeStore:
         self.ut_m: list[dict] = [dict() for _ in range(num_levels)]
         self.ut_lookups_v = [0] * num_levels
         self.ut_lookups_m = [0] * num_levels
+        # Legacy identity edges I_0 .. I_k by top level (see mdd.identity_chain).
+        self.identity_m: list[tuple] = []
 
         self.created_v = 0
         self.created_m = 0
@@ -240,8 +243,8 @@ class NodeStore:
 
         Transitive refcounts make liveness local: a node is reachable
         from a positively-referenced root iff its own count is positive.
-        The compute table is cleared wholesale since its entries may
-        point at swept nodes.
+        The compute table and the identity table are cleared wholesale
+        since their entries may point at swept nodes.
         """
         before = self.allocated_v + self.allocated_m
         reclaimed = 0
@@ -267,6 +270,7 @@ class NodeStore:
         if self._ct is not None:
             size = self._ct_mask + 1
             self._ct = [[None] * size for _ in range(_NUM_TAGS)]
+        self.identity_m.clear()
         self.gc_runs += 1
         self._pressure = False
         if not force and before and reclaimed < before * 0.25:

@@ -99,6 +99,21 @@ def test_multiply_level_mismatch_rejected(store):
         multiply_mv(store, gate, state, 1)
 
 
+def test_multiply_terminal_vector_rejected():
+    # vectors never skip levels: a terminal edge at level 0 is not a state
+    store = NodeStore(3)
+    make_basis_state(store, 3, "000")
+    gate = make_gate_dd(store, GateSpec(X, 0), 3, "new")
+    with pytest.raises(StoreError, match="expected a node at level 0"):
+        multiply_mv(store, gate, (TERMINAL, ONE), 0)
+
+
+def test_add_terminal_vectors_rejected():
+    store = NodeStore(3)
+    with pytest.raises(StoreError, match="expected a node at level 2"):
+        add_vectors(store, (TERMINAL, ONE), (TERMINAL, ONE), 2)
+
+
 def test_zero_operands(store):
     state = make_basis_state(store, 3, "000")
     gate = make_gate_dd(store, GateSpec(X, 1), 3, "new")

@@ -8,7 +8,7 @@ import pytest
 from dense import read_matrix, spec_matrix
 from qdd import GateSpec, NodeStore, kron, make_gate_dd, make_matrix_node, matrix_entry
 from qdd.mdd import ZERO_EDGE_M, identity_chain, identity_node_ids, node_count, resembles_identity
-from qdd.store import StoreError, TERMINAL, ZERO_STUB
+from qdd.store import MAT, StoreError, TERMINAL, ZERO_STUB
 from qdd.weights import ONE, ZERO
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -244,8 +244,44 @@ def test_legacy_identity_chain_shared(store):
     identity_chain(store, 9, "legacy")
     created = store.created_m
     assert created == 10
+    lookups = sum(store.ut_lookups_m)
     identity_chain(store, 9, "legacy")
     assert store.created_m == created
+    # the second chain is read from the store's identity table
+    assert sum(store.ut_lookups_m) == lookups
+
+
+def test_legacy_gate_pads_from_identity_table(store):
+    # with I_0 .. I_98 in the table, padding costs no lookups: only the
+    # H node at level 99 is looked up (4 * 99 + 1 lookups without it)
+    identity_chain(store, 98, "legacy")
+    created = store.created_m
+    lookups = sum(store.ut_lookups_m)
+    make_gate_dd(store, GateSpec(H, 99), 100, "legacy")
+    assert sum(store.ut_lookups_m) - lookups == 1
+    assert store.created_m - created == 1
+
+
+@pytest.mark.parametrize("n", [5, 100])
+def test_legacy_identity_table_cleared_by_gc(n):
+    # a sweep frees the chain the table points at; a stale table would
+    # rebuild the gate on freed node ids
+    store = NodeStore(n)
+    spec = GateSpec(H, n - 1)
+    gate = make_gate_dd(store, spec, n, "legacy")
+    store.inc_ref(MAT, gate)
+    store.dec_ref(MAT, gate)
+    assert store.collect_garbage(force=True) == n
+    created = store.created_m
+    gate = make_gate_dd(store, spec, n, "legacy")
+    assert store.created_m - created == n
+    if n <= 6:
+        assert np.abs(read_matrix(store, gate, n) - spec_matrix(spec, n)).max() < 1e-12
+    else:  # H on the top level: H[r >> top][c >> top] where the low bits agree
+        top = 1 << (n - 1)
+        entries = {(0, 0): SQ2, (top, 0): SQ2, (top + 5, 5): SQ2, (top + 5, top + 5): -SQ2, (5, 4): 0}
+        for (r, c), want in entries.items():
+            assert abs(matrix_entry(store, gate, r, c, n) - want) < 1e-12
 
 
 def test_node_count_helper(store):
