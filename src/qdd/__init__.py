@@ -3,7 +3,8 @@
 Gates are represented without identity padding: an operator DD touches
 only the levels its gate acts on, and edges that jump over levels read
 as identity factors there. The conventional full-height representation
-is kept available as "legacy" mode for comparison runs.
+is kept available as "legacy" mode for comparison runs; the mode is a
+property of a NodeStore.
 """
 
 __version__ = "0.1.0"
@@ -11,9 +12,10 @@ __version__ = "0.1.0"
 from .weights import ONE, TOLERANCE, WeightError, WeightTable, ZERO
 from .store import (
     MAT,
+    MODE_LEGACY,
+    MODE_NEW,
     NodeStore,
     StoreError,
-    StoreStats,
     TERMINAL,
     VEC,
     ZERO_STUB,
@@ -21,11 +23,8 @@ from .store import (
 from .vdd import ZERO_EDGE, amplitude, make_basis_state, make_vector_node, vnorm2
 from .mdd import (
     GateSpec,
-    MODE_LEGACY,
-    MODE_NEW,
     ZERO_EDGE_M,
     identity_chain,
-    kron,
     make_gate_dd,
     make_matrix_node,
     matrix_entry,
@@ -58,10 +57,11 @@ from .sim import SimReport, export_dot, run_deep, simulate_statevector, simulate
 __all__ = [
     "__version__",
     "ONE", "TOLERANCE", "WeightError", "WeightTable", "ZERO",
-    "MAT", "NodeStore", "StoreError", "StoreStats", "TERMINAL", "VEC", "ZERO_STUB",
+    "MAT", "MODE_LEGACY", "MODE_NEW", "NodeStore", "StoreError", "TERMINAL", "VEC",
+    "ZERO_STUB",
     "ZERO_EDGE", "amplitude", "make_basis_state", "make_vector_node", "vnorm2",
-    "GateSpec", "MODE_LEGACY", "MODE_NEW", "ZERO_EDGE_M", "identity_chain",
-    "kron", "make_gate_dd", "make_matrix_node", "matrix_entry", "resembles_identity",
+    "GateSpec", "ZERO_EDGE_M", "identity_chain", "make_gate_dd", "make_matrix_node",
+    "matrix_entry", "resembles_identity",
     "add_matrices", "add_vectors", "multiply_mm", "multiply_mv",
     "Circuit", "Gate", "QasmError", "QasmSemanticError", "QasmSyntaxError",
     "SerializationError", "circuit_to_qasm", "parse_qasm",

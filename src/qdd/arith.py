@@ -9,8 +9,10 @@ Every routine strips the operand edge weights before consulting the
 compute table and multiplies them back into the result, so cached
 entries are shared across scaled versions of the same subproblem.
 Addition additionally keys on the relative weight of its (canonically
-ordered) operands. Recursion depth equals the number of levels; large
-instances must run on a deep stack (see sim.run_deep).
+ordered) operands. Keys hold nothing else: a store holds one mode, and
+the level of a subproblem follows from its operand nodes. Recursion
+depth equals the number of levels; large instances must run on a deep
+stack (see sim.run_deep).
 
 The levels of a matrix-vector product above the matrix root are pure
 identity: there the product only rebuilds the paths of the vector down
@@ -21,7 +23,7 @@ at and below the matrix root.
 
 from __future__ import annotations
 
-from .mdd import MODE_LEGACY, MODE_NEW, ZERO_EDGE_M, make_matrix_node
+from .mdd import ZERO_EDGE_M, make_matrix_node
 from .store import ADD_M, ADD_V, MUL_MM, MUL_MV, NodeStore, StoreError, TERMINAL
 from .vdd import ZERO_EDGE, make_vector_node
 from .weights import ONE, ZERO
@@ -167,7 +169,7 @@ def _add_v(store, a, b, level):
     if (bt, bw) < (at, aw):
         at, aw, bt, bw = bt, bw, at, aw
     rel = wt.div(bw, aw)
-    key = (at, bt, rel, level)
+    key = (at, bt, rel)  # vector nodes never skip, so level == v_level[at]
     hit = store.ct_lookup(ADD_V, key)
     if hit is not None:
         rt, rw = hit
@@ -189,16 +191,16 @@ def _add_v(store, a, b, level):
     return ZERO_EDGE if w == ZERO else (r[0], w)
 
 
-def multiply_mm(store: NodeStore, a: tuple, b: tuple, level: int, mode: str = MODE_NEW) -> tuple:
+def multiply_mm(store: NodeStore, a: tuple, b: tuple, level: int) -> tuple:
     """Matrix-matrix product A*B; either operand may skip levels. If both
     skip the current level the result skips it too."""
     for e in (a, b):
         if e[0] >= 0 and store.m_level[e[0]] > level:
             raise StoreError(f"matrix rooted above level {level}")
-    return _mul_mm(store, a[0], a[1], b[0], b[1], mode)
+    return _mul_mm(store, a[0], a[1], b[0], b[1])
 
 
-def _mul_mm(store, at, aw, bt, bw, mode):
+def _mul_mm(store, at, aw, bt, bw):
     if aw == ZERO or bw == ZERO:
         return ZERO_EDGE_M
     wt = store.weights
@@ -209,8 +211,7 @@ def _mul_mm(store, at, aw, bt, bw, mode):
     la = store.m_level[at]
     lb = store.m_level[bt]
     level = la if la >= lb else lb
-    legacy = 1 if mode == MODE_LEGACY else 0
-    key = (at, bt, level, legacy)
+    key = (at, bt)
     hit = store.ct_lookup(MUL_MM, key)
     if hit is not None:
         rt, rw = hit
@@ -238,29 +239,29 @@ def _mul_mm(store, at, aw, bt, bw, mode):
                     ebt, ebw = bsucc[4 * j + 2 * k], bsucc[4 * j + 2 * k + 1]
                     if ebw == ZERO:
                         continue
-                m = _mul_mm(store, eat, eaw, ebt, ebw, mode)
+                m = _mul_mm(store, eat, eaw, ebt, ebw)
                 if m[1] != ZERO:
                     idx = 2 * i + k
                     if edges[idx][1] == ZERO:
                         edges[idx] = m
                     else:
-                        edges[idx] = _add_m(store, edges[idx], m, mode)
-    r = make_matrix_node(store, level, edges, mode)
+                        edges[idx] = _add_m(store, edges[idx], m)
+    r = make_matrix_node(store, level, edges)
     store.ct_insert(MUL_MM, key, r)
     w = wt.mul(wt.mul(aw, bw), r[1])
     return ZERO_EDGE_M if w == ZERO else (r[0], w)
 
 
-def add_matrices(store: NodeStore, a: tuple, b: tuple, level: int, mode: str = MODE_NEW) -> tuple:
+def add_matrices(store: NodeStore, a: tuple, b: tuple, level: int) -> tuple:
     """Elementwise sum of operators rooted at or below `level`. An operand
     skipping the top level expands on the fly as [self, 0, 0, self]."""
     for e in (a, b):
         if e[0] >= 0 and store.m_level[e[0]] > level:
             raise StoreError(f"matrix rooted above level {level}")
-    return _add_m(store, a, b, mode)
+    return _add_m(store, a, b)
 
 
-def _add_m(store, a, b, mode):
+def _add_m(store, a, b):
     at, aw = a
     bt, bw = b
     if aw == ZERO:
@@ -276,9 +277,8 @@ def _add_m(store, a, b, mode):
     la = store.m_level[at] if at >= 0 else -1
     lb = store.m_level[bt] if bt >= 0 else -1
     level = la if la >= lb else lb
-    legacy = 1 if mode == MODE_LEGACY else 0
     rel = wt.div(bw, aw)
-    key = (at, bt, rel, level, legacy)
+    key = (at, bt, rel)
     hit = store.ct_lookup(ADD_M, key)
     if hit is not None:
         rt, rw = hit
@@ -300,8 +300,8 @@ def _add_m(store, a, b, mode):
             if ebw != ZERO:
                 ebw = wt.mul(rel, ebw)
             eb = (bsucc[2 * idx], ebw) if ebw != ZERO else ZERO_EDGE_M
-        edges.append(_add_m(store, ea, eb, mode))
-    r = make_matrix_node(store, level, edges, mode)
+        edges.append(_add_m(store, ea, eb))
+    r = make_matrix_node(store, level, edges)
     store.ct_insert(ADD_M, key, r)
     w = wt.mul(aw, r[1])
     return ZERO_EDGE_M if w == ZERO else (r[0], w)

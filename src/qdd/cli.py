@@ -13,9 +13,8 @@ import sys
 
 from .bench import FAMILIES, generate
 from .circuit import QasmError, parse_qasm
-from .mdd import MODE_LEGACY, MODE_NEW
-from .sim import export_dot, simulate_statevector, simulate_unitary
-from .store import NodeStore, StoreError
+from .sim import REPORT_FIELDS, export_dot, simulate_statevector, simulate_unitary
+from .store import MODE_LEGACY, MODE_NEW, NodeStore, StoreError
 from .vdd import amplitude
 from .weights import WeightError
 
@@ -33,7 +32,6 @@ def _add_circuit_args(p: argparse.ArgumentParser) -> None:
         default="native",
         help="grover: multi-controlled z realization",
     )
-    p.add_argument("--seed", type=int, default=None, help="reserved")
 
 
 def _load_circuit(args) -> "Circuit":
@@ -168,13 +166,8 @@ def _cmd_bench(args) -> int:
             json.dump(rows, fh, indent=2)
             fh.write("\n")
     if args.csv:
-        fields = [
-            "benchmark", "n", "gate_count", "kind", "mode", "wall_time_seconds",
-            "matrix_nodes_created", "vector_nodes_created", "peak_live_nodes",
-            "gc_runs", "ct_hit_rate",
-        ]
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+            writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS, extrasaction="ignore")
             writer.writeheader()
             writer.writerows(rows)
     return 0

@@ -2,11 +2,12 @@
 
 A matrix node has four successors indexed 2*i+j for row-half i and
 column-half j of the represented operator block (successor 0 is the
-top-left quadrant). In the default "new" mode an edge whose target sits
+top-left quadrant). Every function here follows the store's mode
+(NodeStore.mode). In the default "new" mode an edge whose target sits
 below its conceptual level denotes identity factors on every skipped
 level, and nodes of the shape [e*1, 0, 0, e*1] -- a level that acts as
 identity -- are never materialized: node creation hands back e itself.
-"legacy" mode restores the conventional full-height representation in
+A "legacy" store holds the conventional full-height representation in
 which every gate is padded with explicit identity nodes. The identity
 chains I_0 .. I_k that padding reads are kept in the store's identity
 table (NodeStore.identity_m), so a legacy gate looks up only its own
@@ -30,13 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .store import KRON, MAT, NodeStore, StoreError, TERMINAL, ZERO_STUB
+from .store import MAT, MODE_LEGACY, NodeStore, TERMINAL, ZERO_STUB
 from .weights import ONE, ZERO
 
 ZERO_EDGE_M = (ZERO_STUB, ZERO)
-
-MODE_NEW = "new"
-MODE_LEGACY = "legacy"
 
 _UNITARY_TOL = 1e-10
 
@@ -100,11 +98,11 @@ def resembles_identity(succ) -> bool:
     )
 
 
-def make_matrix_node(store: NodeStore, level: int, succ, mode: str = MODE_NEW) -> tuple:
+def make_matrix_node(store: NodeStore, level: int, succ) -> tuple:
     """Normalize four successor edges into a canonical node edge.
 
-    In new mode an identity-shaped candidate is discarded and its first
-    successor returned with the normalization factor folded in."""
+    In a new-mode store an identity-shaped candidate is discarded and its
+    first successor returned with the normalization factor folded in."""
     (t0, w0), (t1, w1), (t2, w2), (t3, w3) = succ
     if w0 == ZERO and w1 == ZERO and w2 == ZERO and w3 == ZERO:
         return ZERO_EDGE_M
@@ -129,35 +127,35 @@ def make_matrix_node(store: NodeStore, level: int, succ, mode: str = MODE_NEW) -
     if w3 == ZERO:
         t3 = ZERO_STUB
     if (
-        mode != MODE_LEGACY
-        and w1 == ZERO
+        w1 == ZERO
         and w2 == ZERO
         and t0 == t3
         and t0 != ZERO_STUB
         and w0 == ONE
         and w3 == ONE
+        and store.mode != MODE_LEGACY  # last: only identity shapes read it
     ):
         return (t0, norm)
     node, _ = store.ut_lookup(MAT, level, (t0, w0, t1, w1, t2, w2, t3, w3))
     return (node, norm)
 
 
-def identity_chain(store: NodeStore, top_level: int, mode: str = MODE_NEW) -> tuple:
+def identity_chain(store: NodeStore, top_level: int) -> tuple:
     """Identity operator over levels [0, top_level]. The skipped (terminal)
     edge in new mode; an explicit node chain in legacy mode, read from the
     store's identity table and extended from its highest entry if short."""
-    if mode != MODE_LEGACY or top_level < 0:
+    if store.mode != MODE_LEGACY or top_level < 0:
         return (TERMINAL, ONE)
     chain = store.identity_m
     while len(chain) <= top_level:
         edge = chain[-1] if chain else (TERMINAL, ONE)
         chain.append(
-            make_matrix_node(store, len(chain), (edge, ZERO_EDGE_M, ZERO_EDGE_M, edge), MODE_LEGACY)
+            make_matrix_node(store, len(chain), (edge, ZERO_EDGE_M, ZERO_EDGE_M, edge))
         )
     return chain[top_level]
 
 
-def make_gate_dd(store: NodeStore, spec: GateSpec, n: int, mode: str = MODE_NEW) -> tuple:
+def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
     """Build the n-qubit operator DD for a (controlled) 2x2 gate.
 
     New mode touches only the levels the gate acts on: its root sits at
@@ -167,7 +165,7 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int, mode: str = MODE_NEW)
     """
     spec.validate(n)
     wt = store.weights
-    legacy = mode == MODE_LEGACY
+    legacy = store.mode == MODE_LEGACY
     below = {lvl: pos for lvl, pos in spec.controls if lvl < spec.target}
     above = [(lvl, pos) for lvl, pos in spec.controls if lvl > spec.target]
 
@@ -179,13 +177,13 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int, mode: str = MODE_NEW)
     target = spec.target
     for level in range(target) if legacy else sorted(below):
         if level in below:
-            ident = identity_chain(store, level - 1, mode)
+            ident = identity_chain(store, level - 1)
             pos = below[level]
             for idx in range(4):
                 diag = ident if idx in (0, 3) else ZERO_EDGE_M
                 active, inactive = (quads[idx], diag) if pos else (diag, quads[idx])
                 quads[idx] = make_matrix_node(
-                    store, level, (inactive, ZERO_EDGE_M, ZERO_EDGE_M, active), mode
+                    store, level, (inactive, ZERO_EDGE_M, ZERO_EDGE_M, active)
                 )
         else:
             # legacy padding: a quadrant w*I_{level-1} becomes w*I_level, the
@@ -202,24 +200,24 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int, mode: str = MODE_NEW)
                 if q[1] == ZERO:
                     continue
                 if q[0] == ident:
-                    quads[idx] = (identity_chain(store, level, mode)[0], q[1])
+                    quads[idx] = (identity_chain(store, level)[0], q[1])
                 else:
-                    quads[idx] = make_matrix_node(store, level, (q, ZERO_EDGE_M, ZERO_EDGE_M, q), mode)
+                    quads[idx] = make_matrix_node(store, level, (q, ZERO_EDGE_M, ZERO_EDGE_M, q))
 
-    edge = make_matrix_node(store, target, tuple(quads), mode)
+    edge = make_matrix_node(store, target, tuple(quads))
 
     above_ctrl = dict(above)
     for level in range(target + 1, n) if legacy else sorted(above_ctrl):
         if level in above_ctrl:
-            ident = identity_chain(store, level - 1, mode)
+            ident = identity_chain(store, level - 1)
             if above_ctrl[level]:
                 succ = (ident, ZERO_EDGE_M, ZERO_EDGE_M, edge)
             else:
                 succ = (edge, ZERO_EDGE_M, ZERO_EDGE_M, ident)
-            edge = make_matrix_node(store, level, succ, mode)
+            edge = make_matrix_node(store, level, succ)
         else:
             edge = make_matrix_node(
-                store, level, (edge, ZERO_EDGE_M, ZERO_EDGE_M, edge), mode
+                store, level, (edge, ZERO_EDGE_M, ZERO_EDGE_M, edge)
             )
     return edge
 
@@ -252,88 +250,14 @@ def matrix_entry(store: NodeStore, m: tuple, row: int, col: int, n: int) -> comp
     return value
 
 
-def kron(store: NodeStore, top: tuple, bottom: tuple, mode: str = MODE_NEW) -> tuple:
-    """Tensor product: re-root every terminal edge of `top` onto `bottom`,
-    multiplying weights. Level ranges must be disjoint, bottom underneath."""
-    tt, tw = top
-    bt, bw = bottom
-    wt = store.weights
-    if tw == ZERO or bw == ZERO:
-        return ZERO_EDGE_M
-    if tt == TERMINAL:
-        return (bt, wt.mul(tw, bw))
-    if bt >= 0:
-        bottom_level = store.m_level[bt]
-        low = _min_level(store, tt)
-        if bottom_level >= low:
-            raise StoreError(
-                f"kron operands overlap: bottom rooted at {bottom_level}, "
-                f"top reaches down to {low}"
-            )
-    mode_flag = 1 if mode == MODE_LEGACY else 0
-    succs = store.m_succ
-    levels = store.m_level
-
-    def graft(node: int) -> tuple:
-        # bottom's weight is factored out of the recursion so cached
-        # results are shared across differently scaled bottoms
-        key = (node, bt, mode_flag)
-        hit = store.ct_lookup(KRON, key)
-        if hit is not None:
-            return hit
-        succ = succs[node]
-        new = []
-        for k in range(0, 8, 2):
-            t, w = succ[k], succ[k + 1]
-            if w == ZERO:
-                new.append(ZERO_EDGE_M)
-            elif t == TERMINAL:
-                new.append((bt, w))
-            else:
-                gt, gw = graft(t)
-                new.append((gt, wt.mul(w, gw)))
-        result = make_matrix_node(store, levels[node], new, mode)
-        store.ct_insert(KRON, key, result)
-        return result
-
-    rt, rw = graft(tt)
-    return (rt, wt.mul(tw, wt.mul(rw, bw)))
-
-
-def _min_level(store: NodeStore, node: int) -> int:
-    """Lowest level of any node reachable from a matrix node."""
-    low = store.m_level[node]
-    seen = {node}
-    stack = [node]
-    while stack:
-        for t in store.m_succ[stack.pop()][0::2]:
-            if t >= 0 and t not in seen:
-                seen.add(t)
-                lvl = store.m_level[t]
-                if lvl < low:
-                    low = lvl
-                stack.append(t)
-    return low
-
-
 def node_count(store: NodeStore, m: tuple) -> int:
     """Number of distinct nodes reachable from a matrix edge."""
-    target = m[0]
-    if target < 0:
-        return 0
-    seen = {target}
-    stack = [target]
-    while stack:
-        for t in store.m_succ[stack.pop()][0::2]:
-            if t >= 0 and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return len(seen)
+    return len(store.reachable(MAT, m[0]))
 
 
 def identity_node_ids(store: NodeStore) -> list[int]:
     """Allocated matrix nodes that resemble identity; must be empty for
-    any store driven purely in new mode."""
+    any new-mode store."""
     return [
         node
         for node, _level, succ in store.matrix_nodes()

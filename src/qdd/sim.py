@@ -2,10 +2,11 @@
 
 Statevector simulation applies gate DDs sequentially to |0...0>; unitary
 simulation left-multiplies them onto an accumulated operator starting
-from the identity (the bare terminal edge in new mode). Both reference
-the freshly produced root, then release the consumed one and the gate,
-so garbage collection at the per-gate safe point only ever sweeps dead
-intermediates.
+from the identity (the bare terminal edge in new mode). Both run on one
+gate loop, which references the freshly produced root, then releases the
+consumed one and the gate, so garbage collection at the per-gate safe
+point only ever sweeps dead intermediates. A run follows the store's
+mode; an explicit mode argument sets it on the store first.
 
 Wall time covers the gate loop only, not parsing or generation. Deep
 circuits run on a widened stack: the arithmetic recursion descends one
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .circuit import Circuit
-from .mdd import MODE_NEW, identity_chain, make_gate_dd
+from .mdd import identity_chain, make_gate_dd
 from .arith import multiply_mm, multiply_mv
 from .store import MAT, NodeStore, TERMINAL, VEC, ZERO_STUB
 from .vdd import amplitude, make_basis_state
@@ -67,6 +68,14 @@ def run_deep(fn, levels: int):
     return result[0]
 
 
+# Report fields in the column order of `qdd bench --csv`.
+REPORT_FIELDS = (
+    "benchmark", "n", "gate_count", "kind", "mode", "wall_time_seconds",
+    "matrix_nodes_created", "vector_nodes_created", "peak_live_nodes",
+    "gc_runs", "ct_hit_rate",
+)
+
+
 @dataclass
 class SimReport:
     benchmark: str
@@ -83,21 +92,9 @@ class SimReport:
     amplitude_samples: dict[int, complex] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "benchmark": self.benchmark,
-            "n": self.n,
-            "gate_count": self.gate_count,
-            "mode": self.mode,
-            "kind": self.kind,
-            "wall_time_seconds": self.wall_time_seconds,
-            "matrix_nodes_created": self.matrix_nodes_created,
-            "vector_nodes_created": self.vector_nodes_created,
-            "peak_live_nodes": self.peak_live_nodes,
-            "gc_runs": self.gc_runs,
-            "ct_hit_rate": self.ct_hit_rate,
-            "engine_version": __version__,
-            "epsilon_w": TOLERANCE,
-        }
+        out = {name: getattr(self, name) for name in REPORT_FIELDS}
+        out["engine_version"] = __version__
+        out["epsilon_w"] = TOLERANCE
         if self.amplitude_samples:
             out["amplitudes"] = {
                 str(i): [v.real, v.imag] for i, v in self.amplitude_samples.items()
@@ -105,31 +102,13 @@ class SimReport:
         return out
 
 
-def _report(circuit: Circuit, store: NodeStore, mode: str, kind: str, dt: float) -> SimReport:
-    stats = store.stats()
-    return SimReport(
-        benchmark=circuit.name,
-        n=circuit.n,
-        gate_count=circuit.gate_count(),
-        mode=mode,
-        kind=kind,
-        wall_time_seconds=dt,
-        matrix_nodes_created=stats.matrix_nodes_created,
-        vector_nodes_created=stats.vector_nodes_created,
-        peak_live_nodes=stats.peak_live,
-        gc_runs=stats.gc_runs,
-        ct_hit_rate=store.ct_hit_rate(),
-    )
-
-
-def simulate_statevector(
-    circuit: Circuit,
-    mode: str = MODE_NEW,
-    store: NodeStore | None = None,
-    amplitude_indices=(),
-) -> tuple[tuple, SimReport]:
-    """Run the circuit on |0...0>; returns the final state edge and a report.
-    Pass a store to inspect the state afterwards."""
+def _simulate(
+    circuit: Circuit, mode: str | None, store: NodeStore | None, kind: str
+) -> tuple[NodeStore, tuple, SimReport]:
+    """The gate loop of both simulators: statevector runs multiply each
+    gate onto |0...0>, unitary runs onto the identity. mode=None keeps the
+    store's mode; an explicit one is set on the store, which refuses it if
+    the store already holds matrix nodes of the other mode."""
     n = circuit.n
     specs = circuit.to_specs()
     for spec in specs:
@@ -138,25 +117,58 @@ def simulate_statevector(
         store = NodeStore(n)
     elif store.num_levels < n:
         raise ValueError(f"store has {store.num_levels} levels, circuit needs {n}")
+    if mode is not None:
+        store.mode = mode
+    vector = kind == "statevector"
+    root_kind = VEC if vector else MAT
+    top = n - 1
 
     def run():
-        state = make_basis_state(store, n, "0" * n)
-        store.inc_ref(VEC, state)
-        top = n - 1
+        root = make_basis_state(store, n, "0" * n) if vector else identity_chain(store, top)
+        store.inc_ref(root_kind, root)
         t0 = time.perf_counter()
         for spec in specs:
-            gate = make_gate_dd(store, spec, n, mode)
+            # module globals and store methods are looked up per gate, so
+            # instruments that patch them see every call
+            gate = make_gate_dd(store, spec, n)
             store.inc_ref(MAT, gate)
-            new_state = multiply_mv(store, gate, state, top)
-            store.inc_ref(VEC, new_state)
-            store.dec_ref(VEC, state)
+            if vector:
+                new_root = multiply_mv(store, gate, root, top)
+            else:
+                new_root = multiply_mm(store, gate, root, top)
+            store.inc_ref(root_kind, new_root)
+            store.dec_ref(root_kind, root)
             store.dec_ref(MAT, gate)
-            state = new_state
+            root = new_root
             store.maybe_collect()
-        return state, time.perf_counter() - t0
+        return root, time.perf_counter() - t0
 
-    state, dt = run_deep(run, n)
-    report = _report(circuit, store, mode, "statevector", dt)
+    root, dt = run_deep(run, n)
+    report = SimReport(
+        benchmark=circuit.name,
+        n=n,
+        gate_count=circuit.gate_count(),
+        mode=store.mode,
+        kind=kind,
+        wall_time_seconds=dt,
+        matrix_nodes_created=store.created_m,
+        vector_nodes_created=store.created_v,
+        peak_live_nodes=store.peak_live,
+        gc_runs=store.gc_runs,
+        ct_hit_rate=store.ct_hit_rate(),
+    )
+    return store, root, report
+
+
+def simulate_statevector(
+    circuit: Circuit,
+    mode: str | None = None,
+    store: NodeStore | None = None,
+    amplitude_indices=(),
+) -> tuple[tuple, SimReport]:
+    """Run the circuit on |0...0>; returns the final state edge and a report.
+    Pass a store to inspect the state afterwards."""
+    store, state, report = _simulate(circuit, mode, store, "statevector")
     for i in amplitude_indices:
         report.amplitude_samples[i] = amplitude(store, state, i)
     return state, report
@@ -164,37 +176,12 @@ def simulate_statevector(
 
 def simulate_unitary(
     circuit: Circuit,
-    mode: str = MODE_NEW,
+    mode: str | None = None,
     store: NodeStore | None = None,
 ) -> tuple[tuple, SimReport]:
     """Accumulate the circuit's whole operator as one matrix DD."""
-    n = circuit.n
-    specs = circuit.to_specs()
-    for spec in specs:
-        spec.validate(n)
-    if store is None:
-        store = NodeStore(n)
-    elif store.num_levels < n:
-        raise ValueError(f"store has {store.num_levels} levels, circuit needs {n}")
-
-    def run():
-        acc = identity_chain(store, n - 1, mode)
-        store.inc_ref(MAT, acc)
-        top = n - 1
-        t0 = time.perf_counter()
-        for spec in specs:
-            gate = make_gate_dd(store, spec, n, mode)
-            store.inc_ref(MAT, gate)
-            product = multiply_mm(store, gate, acc, top, mode)
-            store.inc_ref(MAT, product)
-            store.dec_ref(MAT, acc)
-            store.dec_ref(MAT, gate)
-            acc = product
-            store.maybe_collect()
-        return acc, time.perf_counter() - t0
-
-    acc, dt = run_deep(run, n)
-    return acc, _report(circuit, store, mode, "unitary", dt)
+    _store, acc, report = _simulate(circuit, mode, store, "unitary")
+    return acc, report
 
 
 # -- DOT export ----------------------------------------------------------
@@ -242,15 +229,8 @@ def export_dot(store: NodeStore, edge: tuple, kind: str = "vector") -> str:
         return "\n".join(lines)
 
     by_level: dict[int, list[int]] = {}
-    seen = {target}
-    stack = [target]
-    while stack:
-        node = stack.pop()
+    for node in store.reachable(VEC if vector else MAT, target):
         by_level.setdefault(levels[node], []).append(node)
-        for t in succs[node][0::2]:
-            if t >= 0 and t not in seen:
-                seen.add(t)
-                stack.append(t)
 
     def name(node: int, level: int) -> str:
         return f"n{level}_{node}"

@@ -13,6 +13,18 @@ flat, (t0, w0, t1, w1, ...), so unique-table keys hash fast. The zero
 edge is always (ZERO_STUB, weights.ZERO): a weight of ZERO never appears
 on any other target.
 
+A store holds one representation, its mode:
+
+    MODE_NEW    -- identity-stripped: a matrix node of identity shape
+                   [e*1, 0, 0, e*1] is never stored (mdd.make_matrix_node
+                   hands back e instead)
+    MODE_LEGACY -- conventional full height: every gate is padded with
+                   explicit identity nodes
+
+The mode is fixed once the store has created a matrix node, so every
+node and compute-table entry of a store belongs to one representation
+and table keys need no mode flag.
+
 Reference counts propagate transitively: when a node first becomes
 referenced its children gain a reference, and when it ceases to be they
 lose one. A node whose count is zero is reclaimable; reclamation is
@@ -25,8 +37,6 @@ referenced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .weights import WeightTable
 
 TERMINAL = -1
@@ -35,13 +45,15 @@ ZERO_STUB = -2
 VEC = "v"
 MAT = "m"
 
+MODE_NEW = "new"
+MODE_LEGACY = "legacy"
+
 # Compute-table operation tags.
 ADD_V = 0
 ADD_M = 1
 MUL_MV = 2
 MUL_MM = 3
-KRON = 4
-_NUM_TAGS = 5
+_NUM_TAGS = 4
 
 # Per-(kind, level) unique-table size that signals collection pressure.
 TABLE_GC_THRESHOLD = 1 << 15
@@ -55,23 +67,6 @@ class StoreError(RuntimeError):
     """Structural violation or refcount misuse; always a caller bug."""
 
 
-@dataclass
-class StoreStats:
-    """Counters mirrored into simulation reports.
-
-    nodes_created counts cumulative unique-table insertions per kind;
-    peak_live is the highest number of simultaneously referenced nodes
-    (positive refcount, both kinds together).
-    """
-
-    vector_nodes_created: int
-    matrix_nodes_created: int
-    peak_live: int
-    gc_runs: int
-    ct_hits: int
-    ct_misses: int
-
-
 class NodeStore:
     """Owns all nodes of one engine instance. Single-threaded by design;
     independent stores may be used from different threads freely."""
@@ -81,6 +76,7 @@ class NodeStore:
         num_levels: int,
         weights: WeightTable | None = None,
         ct_bits: int | None = 16,
+        mode: str = MODE_NEW,
     ) -> None:
         if num_levels < 1:
             raise ValueError("need at least one level")
@@ -103,6 +99,8 @@ class NodeStore:
         # Legacy identity edges I_0 .. I_k by top level (see mdd.identity_chain).
         self.identity_m: list[tuple] = []
 
+        # created_*: unique-table insertions per kind, ever; peak_live: the
+        # most nodes referenced at once, both kinds together
         self.created_v = 0
         self.created_m = 0
         self.allocated_v = 0
@@ -112,6 +110,8 @@ class NodeStore:
         self.gc_runs = 0
         self.ct_hits = 0
         self.ct_misses = 0
+        self._mode = MODE_NEW
+        self.mode = mode
 
         self._table_limit = TABLE_GC_THRESHOLD
         self._global_limit = GLOBAL_GC_THRESHOLD
@@ -125,6 +125,21 @@ class NodeStore:
         else:
             self._ct_mask = 0
             self._ct = None
+
+    @property
+    def mode(self) -> str:
+        """MODE_NEW or MODE_LEGACY; see the module docstring."""
+        return self._mode
+
+    @mode.setter
+    def mode(self, mode: str) -> None:
+        if mode not in (MODE_NEW, MODE_LEGACY):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode != self._mode and self.created_m:
+            raise StoreError(
+                f"store holds {self._mode}-mode matrix nodes, cannot switch to {mode}"
+            )
+        self._mode = mode
 
     # -- unique tables -------------------------------------------------
 
@@ -304,10 +319,19 @@ class NodeStore:
 
     # -- introspection ---------------------------------------------------
 
-    def node_level(self, kind: str, node: int) -> int:
-        if node < 0:
-            return -1
-        return (self.v_level if kind == VEC else self.m_level)[node]
+    def reachable(self, kind: str, target: int) -> set[int]:
+        """Ids of the nodes reachable from `target`, itself included."""
+        if target < 0:
+            return set()
+        succs = self.v_succ if kind == VEC else self.m_succ
+        seen = {target}
+        stack = [target]
+        while stack:
+            for t in succs[stack.pop()][0::2]:
+                if t >= 0 and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
 
     def vector_nodes(self):
         """Yield (id, level, succ) for every allocated vector node."""
@@ -326,13 +350,3 @@ class NodeStore:
     def ct_hit_rate(self) -> float:
         total = self.ct_hits + self.ct_misses
         return self.ct_hits / total if total else 0.0
-
-    def stats(self) -> StoreStats:
-        return StoreStats(
-            vector_nodes_created=self.created_v,
-            matrix_nodes_created=self.created_m,
-            peak_live=self.peak_live,
-            gc_runs=self.gc_runs,
-            ct_hits=self.ct_hits,
-            ct_misses=self.ct_misses,
-        )

@@ -129,17 +129,7 @@ def vnorm2(store: NodeStore, v: tuple) -> float:
 
 def node_count(store: NodeStore, v: tuple) -> int:
     """Number of distinct nodes reachable from a vector edge."""
-    target = v[0]
-    if target < 0:
-        return 0
-    seen = {target}
-    stack = [target]
-    while stack:
-        for t in store.v_succ[stack.pop()][0::2]:
-            if t >= 0 and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return len(seen)
+    return len(store.reachable(VEC, v[0]))
 
 
 def check_normalization(store: NodeStore, tolerance: float = 4e-13) -> list[int]:

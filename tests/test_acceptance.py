@@ -77,8 +77,8 @@ def test_criterion_2_gate_dd_node_counts():
             (GateSpec(X, 0, ((99, True),)), "legacy", 199),
         ]
         for spec, mode, expected in cases:
-            store = NodeStore(100)
-            make_gate_dd(store, spec, 100, mode)
+            store = NodeStore(100, mode=mode)
+            make_gate_dd(store, spec, 100)
             assert store.created_m == expected
         assert time.perf_counter() - t0 < 1.0
 
@@ -235,7 +235,7 @@ def test_criterion_8_randomized_canonicity_and_gc_soundness():
                 i = int(rng.integers(len(pools[id(with_gc)])))
 
                 def apply(store, pool):
-                    gate = make_gate_dd(store, spec, n, "new")
+                    gate = make_gate_dd(store, spec, n)
                     store.inc_ref("m", gate)
                     out = multiply_mv(store, gate, pool[i], n - 1)
                     store.dec_ref("m", gate)

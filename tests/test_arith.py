@@ -12,7 +12,6 @@ from qdd import (
     add_matrices,
     add_vectors,
     amplitude,
-    kron,
     make_basis_state,
     make_gate_dd,
     multiply_mm,
@@ -38,9 +37,9 @@ def store():
 def test_bell_preparation(store):
     # two-gate flow onto |00>: H on the top level, then the downward cnot
     state = make_basis_state(store, 2, "00")
-    h = make_gate_dd(store, GateSpec(H, 1), 2, "new")
+    h = make_gate_dd(store, GateSpec(H, 1), 2)
     state = multiply_mv(store, h, state, 1)
-    cx = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2, "new")
+    cx = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2)
     state = multiply_mv(store, cx, state, 1)
     got = read_state(store, state, 2)
     assert np.abs(got - np.array([SQ2, 0, 0, SQ2])).max() < 1e-12
@@ -61,9 +60,9 @@ def test_skip_region_memoized_per_vector_node():
     store = NodeStore(n)
     state = make_basis_state(store, n, "0" * n)
     for level in range(n):
-        state = multiply_mv(store, make_gate_dd(store, GateSpec(H, level), n, "new"), state, n - 1)
+        state = multiply_mv(store, make_gate_dd(store, GateSpec(H, level), n), state, n - 1)
     created = store.created_v
-    state = multiply_mv(store, make_gate_dd(store, GateSpec(Z, 0), n, "new"), state, n - 1)
+    state = multiply_mv(store, make_gate_dd(store, GateSpec(Z, 0), n), state, n - 1)
     assert store.created_v - created == n
     assert abs(amplitude(store, state, 0) - 2.0**-32) < 1e-22
     assert abs(amplitude(store, state, 2**n - 1) + 2.0**-32) < 1e-22
@@ -73,7 +72,7 @@ def test_single_node_gate_on_100_qubits():
     # oracle: dense simulation at n=10 plus amplitude spot checks at n=100
     n10 = NodeStore(10)
     state = make_basis_state(n10, 10, "0" * 10)
-    h = make_gate_dd(n10, GateSpec(H, 0), 10, "new")
+    h = make_gate_dd(n10, GateSpec(H, 0), 10)
     state = multiply_mv(n10, h, state, 9)
     from qdd import Circuit
 
@@ -83,7 +82,7 @@ def test_single_node_gate_on_100_qubits():
 
     big = NodeStore(100)
     state = make_basis_state(big, 100, "0" * 100)
-    h = make_gate_dd(big, GateSpec(H, 0), 100, "new")
+    h = make_gate_dd(big, GateSpec(H, 0), 100)
     state = multiply_mv(big, h, state, 99)
     from qdd import amplitude
 
@@ -94,7 +93,7 @@ def test_single_node_gate_on_100_qubits():
 
 def test_multiply_level_mismatch_rejected(store):
     state = make_basis_state(store, 3, "000")
-    gate = make_gate_dd(store, GateSpec(X, 0), 3, "new")
+    gate = make_gate_dd(store, GateSpec(X, 0), 3)
     with pytest.raises(StoreError):
         multiply_mv(store, gate, state, 1)
 
@@ -103,7 +102,7 @@ def test_multiply_terminal_vector_rejected():
     # vectors never skip levels: a terminal edge at level 0 is not a state
     store = NodeStore(3)
     make_basis_state(store, 3, "000")
-    gate = make_gate_dd(store, GateSpec(X, 0), 3, "new")
+    gate = make_gate_dd(store, GateSpec(X, 0), 3)
     with pytest.raises(StoreError, match="expected a node at level 0"):
         multiply_mv(store, gate, (TERMINAL, ONE), 0)
 
@@ -116,7 +115,7 @@ def test_add_terminal_vectors_rejected():
 
 def test_zero_operands(store):
     state = make_basis_state(store, 3, "000")
-    gate = make_gate_dd(store, GateSpec(X, 1), 3, "new")
+    gate = make_gate_dd(store, GateSpec(X, 1), 3)
     assert multiply_mv(store, gate, ZERO_EDGE, 2) == ZERO_EDGE
     assert multiply_mv(store, ZERO_EDGE_M, state, 2) == ZERO_EDGE
 
@@ -153,9 +152,9 @@ def test_add_vectors_commutes(n):
 
 def test_multiply_mm_bell_unitary(store):
     # whole-circuit operator: rows (1 0 1 0; 0 1 0 1; 0 1 0 -1; 1 0 -1 0)/sqrt2
-    h = make_gate_dd(store, GateSpec(H, 1), 2, "new")
-    cx = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2, "new")
-    u = multiply_mm(store, cx, h, 1, "new")
+    h = make_gate_dd(store, GateSpec(H, 1), 2)
+    cx = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2)
+    u = multiply_mm(store, cx, h, 1)
     expect = np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=complex
     ) * SQ2
@@ -163,9 +162,9 @@ def test_multiply_mm_bell_unitary(store):
 
 
 def test_x_squared_is_identity_no_nodes(store):
-    x = make_gate_dd(store, GateSpec(X, 4), 12, "new")
+    x = make_gate_dd(store, GateSpec(X, 4), 12)
     created = store.created_m
-    prod = multiply_mm(store, x, x, 11, "new")
+    prod = multiply_mm(store, x, x, 11)
     assert prod == (TERMINAL, ONE)
     assert store.created_m == created
 
@@ -180,8 +179,8 @@ def test_product_with_adjoint_is_identity(n):
     specs = _random_specs(rng, n, 6)
     acc = (TERMINAL, ONE)
     for spec in specs:
-        g = make_gate_dd(store, spec, n, "new")
-        acc = multiply_mm(store, g, acc, n - 1, "new")
+        g = make_gate_dd(store, spec, n)
+        acc = multiply_mm(store, g, acc, n - 1)
     dense = np.eye(1 << n, dtype=complex)
     for spec in specs:
         dense = spec_matrix(spec, n) @ dense
@@ -194,25 +193,25 @@ def test_product_with_adjoint_is_identity(n):
             spec.target,
             spec.controls,
         )
-        g = make_gate_dd(store, dag, n, "new")
-        adj = multiply_mm(store, adj, g, n - 1, "new")
-    prod = multiply_mm(store, acc, adj, n - 1, "new")
+        g = make_gate_dd(store, dag, n)
+        adj = multiply_mm(store, adj, g, n - 1)
+    prod = multiply_mm(store, acc, adj, n - 1)
     got = read_matrix(store, prod, n)
     assert np.abs(got - np.eye(1 << n)).max() < 1e-10
 
 
 def test_add_matrices_zero_neutral(store):
-    m = make_gate_dd(store, GateSpec(H, 2), 5, "new")
-    assert add_matrices(store, m, ZERO_EDGE_M, 4, "new") == m
-    assert add_matrices(store, ZERO_EDGE_M, m, 4, "new") == m
+    m = make_gate_dd(store, GateSpec(H, 2), 5)
+    assert add_matrices(store, m, ZERO_EDGE_M, 4) == m
+    assert add_matrices(store, ZERO_EDGE_M, m, 4) == m
 
 
 def test_add_matrices_operands_at_different_levels(store):
     # oracle: dense kron(I, H) + 0.5*I; the scaled-identity operand skips
     # the top level and expands on the fly
-    h0 = make_gate_dd(store, GateSpec(H, 0), 2, "new")
+    h0 = make_gate_dd(store, GateSpec(H, 0), 2)
     half = store.weights.intern(0.5, 0.0)
-    total = add_matrices(store, h0, (TERMINAL, half), 1, "new")
+    total = add_matrices(store, h0, (TERMINAL, half), 1)
     dense = np.kron(np.eye(2), np.array([[SQ2, SQ2], [SQ2, -SQ2]])) + 0.5 * np.eye(4)
     assert np.abs(read_matrix(store, total, 2) - dense).max() < 1e-12
 
@@ -220,7 +219,7 @@ def test_add_matrices_operands_at_different_levels(store):
 def test_add_matrices_identity_absorption(store):
     half = store.weights.intern(0.5, 0.0)
     created = store.created_m
-    total = add_matrices(store, (TERMINAL, half), (TERMINAL, half), 4, "new")
+    total = add_matrices(store, (TERMINAL, half), (TERMINAL, half), 4)
     assert total == (TERMINAL, ONE)
     assert store.created_m == created
 
@@ -235,20 +234,15 @@ def test_cnot_from_projector_sum(store):
     # build the projector DDs directly instead
     from qdd.mdd import make_matrix_node
 
-    proj0 = make_matrix_node(store, 1, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M], "new")
-    proj1 = make_matrix_node(store, 1, [ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M, (TERMINAL, ONE)], "new")
-    x0 = make_gate_dd(store, GateSpec(X, 0), 1, "new")
-    lhs = kron(store, proj0, identity_edge(), "new")
-    rhs = kron(store, proj1, x0, "new")
-    cnot = add_matrices(store, lhs, rhs, 1, "new")
+    # |0><0| (x) I: the terminal quadrant already reads as identity below
+    lhs = make_matrix_node(store, 1, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M])
+    x0 = make_gate_dd(store, GateSpec(X, 0), 1)
+    rhs = make_matrix_node(store, 1, [ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M, x0])
+    cnot = add_matrices(store, lhs, rhs, 1)
     dense = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     assert np.abs(read_matrix(store, cnot, 2) - dense).max() < 1e-12
-    direct = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2, "new")
+    direct = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2)
     assert cnot == direct
-
-
-def identity_edge():
-    return (TERMINAL, ONE)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -258,7 +252,7 @@ def test_distributivity(n):
     from test_mdd import _random_specs
 
     spec = _random_specs(rng, n, 1)[0]
-    gate = make_gate_dd(store, spec, n, "new")
+    gate = make_gate_dd(store, spec, n)
     x = build_vdd(store, random_state(n, rng))
     y = build_vdd(store, random_state(n, rng))
     lhs = multiply_mv(store, gate, add_vectors(store, x, y, n - 1), n - 1)
@@ -279,7 +273,7 @@ def test_norm_preserved_through_gates(store):
     sub = NodeStore(n)
     state = make_basis_state(sub, n, "0" * n)
     for spec in _random_specs(rng, n, 25):
-        gate = make_gate_dd(sub, spec, n, "new")
+        gate = make_gate_dd(sub, spec, n)
         state = multiply_mv(sub, gate, state, n - 1)
         assert abs(vnorm2(sub, state) - 1.0) < 1e-9
 
@@ -293,7 +287,7 @@ def test_new_mode_arithmetic_leaves_no_identity_nodes():
     state = make_basis_state(store, n, "0" * n)
     acc = (TERMINAL, ONE)
     for spec in _random_specs(rng, n, 20):
-        gate = make_gate_dd(store, spec, n, "new")
+        gate = make_gate_dd(store, spec, n)
         state = multiply_mv(store, gate, state, n - 1)
-        acc = multiply_mm(store, gate, acc, n - 1, "new")
+        acc = multiply_mm(store, gate, acc, n - 1)
     assert identity_node_ids(store) == []

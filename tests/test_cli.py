@@ -51,10 +51,6 @@ def test_compare_agrees(tmp_path):
     assert payload["new"]["matrix_nodes_created"] <= payload["legacy"]["matrix_nodes_created"]
 
 
-def test_seed_flag_accepted():
-    assert main(["simulate", "--benchmark", "ghz", "--qubits", "4", "--seed", "7"]) == 0
-
-
 def test_bench_emits_tables(tmp_path):
     csv_path = tmp_path / "rows.csv"
     json_path = tmp_path / "rows.json"

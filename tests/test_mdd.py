@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from dense import read_matrix, spec_matrix
-from qdd import GateSpec, NodeStore, kron, make_gate_dd, make_matrix_node, matrix_entry
+from qdd import GateSpec, NodeStore, make_gate_dd, make_matrix_node, matrix_entry
 from qdd.mdd import ZERO_EDGE_M, identity_chain, identity_node_ids, node_count, resembles_identity
-from qdd.store import MAT, StoreError, TERMINAL, ZERO_STUB
+from qdd.store import MAT, TERMINAL, ZERO_STUB
 from qdd.weights import ONE, ZERO
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -23,8 +23,13 @@ def store():
     return NodeStore(100)
 
 
-def test_resembles_identity_true_case(store):
-    e = make_matrix_node(store, 0, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, (TERMINAL, ONE)], "legacy")
+@pytest.fixture
+def legacy_store():
+    return NodeStore(100, mode="legacy")
+
+
+def test_resembles_identity_true_case(legacy_store):
+    e = make_matrix_node(legacy_store, 0, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, (TERMINAL, ONE)])
     assert resembles_identity([e, ZERO_EDGE_M, ZERO_EDGE_M, e])
 
 
@@ -34,30 +39,30 @@ def test_resembles_identity_x_tuple(store):
 
 
 def test_resembles_identity_distinct_targets(store):
-    a = make_matrix_node(store, 0, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M], "new")
-    b = make_matrix_node(store, 0, [ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M, (TERMINAL, ONE)], "new")
+    a = make_matrix_node(store, 0, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M])
+    b = make_matrix_node(store, 0, [ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M, (TERMINAL, ONE)])
     assert not resembles_identity([a, ZERO_EDGE_M, ZERO_EDGE_M, b])
 
 
 def test_make_matrix_node_strips_identity_in_new_mode(store):
-    inner = make_matrix_node(store, 2, [ZERO_EDGE_M, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE_M], "new")
+    inner = make_matrix_node(store, 2, [ZERO_EDGE_M, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE_M])
     created = store.created_m
-    edge = make_matrix_node(store, 5, [inner, ZERO_EDGE_M, ZERO_EDGE_M, inner], "new")
+    edge = make_matrix_node(store, 5, [inner, ZERO_EDGE_M, ZERO_EDGE_M, inner])
     assert edge == inner
     assert store.created_m == created
 
 
-def test_make_matrix_node_keeps_identity_in_legacy_mode(store):
-    inner = make_matrix_node(store, 2, [ZERO_EDGE_M, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE_M], "legacy")
-    created = store.created_m
-    edge = make_matrix_node(store, 5, [inner, ZERO_EDGE_M, ZERO_EDGE_M, inner], "legacy")
+def test_make_matrix_node_keeps_identity_in_legacy_mode(legacy_store):
+    inner = make_matrix_node(legacy_store, 2, [ZERO_EDGE_M, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE_M])
+    created = legacy_store.created_m
+    edge = make_matrix_node(legacy_store, 5, [inner, ZERO_EDGE_M, ZERO_EDGE_M, inner])
     assert edge != inner
-    assert store.m_level[edge[0]] == 5
-    assert store.created_m == created + 1
+    assert legacy_store.m_level[edge[0]] == 5
+    assert legacy_store.created_m == created + 1
 
 
 def test_all_zero_successors(store):
-    assert make_matrix_node(store, 3, [ZERO_EDGE_M] * 4, "new") == ZERO_EDGE_M
+    assert make_matrix_node(store, 3, [ZERO_EDGE_M] * 4) == ZERO_EDGE_M
 
 
 def test_weight_zeroed_by_normalization_gets_stub(store):
@@ -65,25 +70,25 @@ def test_weight_zeroed_by_normalization_gets_stub(store):
     wt = store.weights
     two = (TERMINAL, wt.intern(2.0))
     minus_two = (TERMINAL, wt.intern(-2.0))
-    tiny = make_matrix_node(store, 0, [two, (TERMINAL, wt.intern(1.5e-13)), ZERO_EDGE_M, minus_two], "new")
-    exact = make_matrix_node(store, 0, [two, ZERO_EDGE_M, ZERO_EDGE_M, minus_two], "new")
+    tiny = make_matrix_node(store, 0, [two, (TERMINAL, wt.intern(1.5e-13)), ZERO_EDGE_M, minus_two])
+    exact = make_matrix_node(store, 0, [two, ZERO_EDGE_M, ZERO_EDGE_M, minus_two])
     assert tiny == exact
     assert store.m_succ[tiny[0]][2:4] == (ZERO_STUB, ZERO)
 
 
 def test_h_gate_new_mode_one_node_weight(store):
-    edge = make_gate_dd(store, GateSpec(H, 0), 100, "new")
+    edge = make_gate_dd(store, GateSpec(H, 0), 100)
     assert store.created_m == 1
     assert abs(store.weights.value(edge[1]) - SQ2) < 1e-13
 
 
-def test_h_gate_legacy_mode_100_nodes(store):
-    make_gate_dd(store, GateSpec(H, 0), 100, "legacy")
-    assert store.created_m == 100
+def test_h_gate_legacy_mode_100_nodes(legacy_store):
+    make_gate_dd(legacy_store, GateSpec(H, 0), 100)
+    assert legacy_store.created_m == 100
 
 
 def test_cnot_new_mode_two_nodes(store):
-    edge = make_gate_dd(store, GateSpec(X, 0, ((99, True),)), 100, "new")
+    edge = make_gate_dd(store, GateSpec(X, 0, ((99, True),)), 100)
     assert store.created_m == 2
     assert store.m_level[edge[0]] == 99
     # second node is the X at level 0
@@ -91,31 +96,31 @@ def test_cnot_new_mode_two_nodes(store):
     assert levels == [0, 99]
 
 
-def test_cnot_legacy_mode_199_nodes(store):
-    make_gate_dd(store, GateSpec(X, 0, ((99, True),)), 100, "legacy")
-    assert store.created_m == 199
+def test_cnot_legacy_mode_199_nodes(legacy_store):
+    make_gate_dd(legacy_store, GateSpec(X, 0, ((99, True),)), 100)
+    assert legacy_store.created_m == 199
 
 
 def test_gate_counts_independent_of_n():
     for n in (2, 10, 50):
         store = NodeStore(n)
-        make_gate_dd(store, GateSpec(H, 0), n, "new")
+        make_gate_dd(store, GateSpec(H, 0), n)
         assert store.created_m == 1
         store = NodeStore(n)
-        make_gate_dd(store, GateSpec(X, 0, ((n - 1, True),)), n, "new")
+        make_gate_dd(store, GateSpec(X, 0, ((n - 1, True),)), n)
         assert store.created_m == 2
 
 
 def test_identity_base_creates_no_nodes(store):
-    edge = make_gate_dd(store, GateSpec(I2, 7), 100, "new")
+    edge = make_gate_dd(store, GateSpec(I2, 7), 100)
     assert edge == (TERMINAL, ONE)
     assert store.created_m == 0
 
 
 def test_same_gate_twice_same_root(store):
     spec = GateSpec(H, 3, ((7, False), (12, True)))
-    e1 = make_gate_dd(store, spec, 100, "new")
-    e2 = make_gate_dd(store, spec, 100, "new")
+    e1 = make_gate_dd(store, spec, 100)
+    e2 = make_gate_dd(store, spec, 100)
     assert e1 == e2
 
 
@@ -130,7 +135,7 @@ def test_gate_spec_validation():
 
 def test_cnot_matrix_entries(store):
     # block form: identity in the top-left, bit flip in the bottom-right
-    edge = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2, "new")
+    edge = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2)
     expect = {(0, 0): 1, (1, 1): 1, (3, 2): 1, (2, 3): 1}
     for r in range(4):
         for c in range(4):
@@ -139,7 +144,7 @@ def test_cnot_matrix_entries(store):
 
 def test_h_on_bottom_level_entries(store):
     # oracle: dense kron(I_4, H)
-    edge = make_gate_dd(store, GateSpec(H, 0), 3, "new")
+    edge = make_gate_dd(store, GateSpec(H, 0), 3)
     dense = np.kron(np.eye(4), np.array([[SQ2, SQ2], [SQ2, -SQ2]]))
     got = read_matrix(store, edge, 3)
     assert np.abs(got - dense).max() < 1e-12
@@ -168,9 +173,9 @@ def test_mode_equivalence_and_dense_oracle(n):
     for spec in _random_specs(rng, n, 8):
         dense = spec_matrix(spec, n)
         new_store = NodeStore(n)
-        legacy_store = NodeStore(n)
-        e_new = make_gate_dd(new_store, spec, n, "new")
-        e_old = make_gate_dd(legacy_store, spec, n, "legacy")
+        legacy_store = NodeStore(n, mode="legacy")
+        e_new = make_gate_dd(new_store, spec, n)
+        e_old = make_gate_dd(legacy_store, spec, n)
         got_new = read_matrix(new_store, e_new, n)
         got_old = read_matrix(legacy_store, e_old, n)
         assert np.abs(got_new - dense).max() < 1e-10
@@ -179,7 +184,7 @@ def test_mode_equivalence_and_dense_oracle(n):
 
 def test_control_below_target(store):
     # upward cnot: control level 0, target level 1
-    edge = make_gate_dd(store, GateSpec(X, 1, ((0, True),)), 2, "new")
+    edge = make_gate_dd(store, GateSpec(X, 1, ((0, True),)), 2)
     dense = spec_matrix(GateSpec(X, 1, ((0, True),)), 2)
     assert np.abs(read_matrix(store, edge, 2) - dense).max() < 1e-12
     assert store.created_m == 3  # projectors cannot share with the root
@@ -187,7 +192,7 @@ def test_control_below_target(store):
 
 def test_negative_control(store):
     spec = GateSpec(X, 0, ((1, False),))
-    edge = make_gate_dd(store, spec, 2, "new")
+    edge = make_gate_dd(store, spec, 2)
     dense = spec_matrix(spec, 2)
     assert np.abs(read_matrix(store, edge, 2) - dense).max() < 1e-12
 
@@ -195,85 +200,58 @@ def test_negative_control(store):
 def test_multi_control_node_count(store):
     # one node per control level plus the base
     spec = GateSpec(X, 0, ((20, True), (40, True), (60, True)))
-    make_gate_dd(store, spec, 100, "new")
+    make_gate_dd(store, spec, 100)
     assert store.created_m == 4
 
 
 def test_matrix_entry_range_check(store):
-    edge = make_gate_dd(store, GateSpec(X, 0), 2, "new")
+    edge = make_gate_dd(store, GateSpec(X, 0), 2)
     with pytest.raises(ValueError):
         matrix_entry(store, edge, 4, 0, 2)
-
-
-def test_kron_h_with_identity(store):
-    # tensor with identity below: in new mode the identity is the skipped
-    # representation, so this is the 2-qubit H-on-top operator
-    h_top = make_gate_dd(store, GateSpec(H, 1), 2, "new")
-    ident = identity_chain(store, 0, "new")
-    combined = kron(store, h_top, ident, "new")
-    assert combined == h_top
-    dense = np.kron(np.array([[SQ2, SQ2], [SQ2, -SQ2]]), np.eye(2))
-    assert np.abs(read_matrix(store, combined, 2) - dense).max() < 1e-12
-
-
-def test_kron_x_with_x(store):
-    # oracle: dense kron of two bit flips, the 4x4 anti-diagonal
-    top = make_gate_dd(store, GateSpec(X, 1), 2, "new")
-    bottom = make_gate_dd(store, GateSpec(X, 0), 1, "new")
-    combined = kron(store, top, bottom, "new")
-    dense = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
-    assert np.abs(read_matrix(store, combined, 2) - dense).max() < 1e-12
-
-
-def test_kron_overlap_rejected(store):
-    a = make_gate_dd(store, GateSpec(X, 1), 2, "new")
-    b = make_gate_dd(store, GateSpec(X, 1), 2, "new")
-    with pytest.raises(StoreError):
-        kron(store, a, b, "new")
 
 
 def test_new_mode_store_purity():
     rng = np.random.default_rng(5)
     store = NodeStore(10)
     for spec in _random_specs(rng, 10, 30):
-        make_gate_dd(store, spec, 10, "new")
+        make_gate_dd(store, spec, 10)
     assert identity_node_ids(store) == []
 
 
-def test_legacy_identity_chain_shared(store):
-    identity_chain(store, 9, "legacy")
-    created = store.created_m
+def test_legacy_identity_chain_shared(legacy_store):
+    identity_chain(legacy_store, 9)
+    created = legacy_store.created_m
     assert created == 10
-    lookups = sum(store.ut_lookups_m)
-    identity_chain(store, 9, "legacy")
-    assert store.created_m == created
+    lookups = sum(legacy_store.ut_lookups_m)
+    identity_chain(legacy_store, 9)
+    assert legacy_store.created_m == created
     # the second chain is read from the store's identity table
-    assert sum(store.ut_lookups_m) == lookups
+    assert sum(legacy_store.ut_lookups_m) == lookups
 
 
-def test_legacy_gate_pads_from_identity_table(store):
+def test_legacy_gate_pads_from_identity_table(legacy_store):
     # with I_0 .. I_98 in the table, padding costs no lookups: only the
     # H node at level 99 is looked up (4 * 99 + 1 lookups without it)
-    identity_chain(store, 98, "legacy")
-    created = store.created_m
-    lookups = sum(store.ut_lookups_m)
-    make_gate_dd(store, GateSpec(H, 99), 100, "legacy")
-    assert sum(store.ut_lookups_m) - lookups == 1
-    assert store.created_m - created == 1
+    identity_chain(legacy_store, 98)
+    created = legacy_store.created_m
+    lookups = sum(legacy_store.ut_lookups_m)
+    make_gate_dd(legacy_store, GateSpec(H, 99), 100)
+    assert sum(legacy_store.ut_lookups_m) - lookups == 1
+    assert legacy_store.created_m - created == 1
 
 
 @pytest.mark.parametrize("n", [5, 100])
 def test_legacy_identity_table_cleared_by_gc(n):
     # a sweep frees the chain the table points at; a stale table would
     # rebuild the gate on freed node ids
-    store = NodeStore(n)
+    store = NodeStore(n, mode="legacy")
     spec = GateSpec(H, n - 1)
-    gate = make_gate_dd(store, spec, n, "legacy")
+    gate = make_gate_dd(store, spec, n)
     store.inc_ref(MAT, gate)
     store.dec_ref(MAT, gate)
     assert store.collect_garbage(force=True) == n
     created = store.created_m
-    gate = make_gate_dd(store, spec, n, "legacy")
+    gate = make_gate_dd(store, spec, n)
     assert store.created_m - created == n
     if n <= 6:
         assert np.abs(read_matrix(store, gate, n) - spec_matrix(spec, n)).max() < 1e-12
@@ -285,5 +263,5 @@ def test_legacy_identity_table_cleared_by_gc(n):
 
 
 def test_node_count_helper(store):
-    edge = make_gate_dd(store, GateSpec(X, 0, ((5, True),)), 10, "new")
+    edge = make_gate_dd(store, GateSpec(X, 0, ((5, True),)), 10)
     assert node_count(store, edge) == 2

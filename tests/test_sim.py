@@ -47,6 +47,22 @@ def test_ghz_legacy_creates_more_nodes():
     assert old.matrix_nodes_created > new.matrix_nodes_created
 
 
+def test_store_with_new_mode_nodes_refuses_legacy_run():
+    from qdd import GateSpec, StoreError, make_gate_dd
+
+    store = NodeStore(2)
+    make_gate_dd(store, GateSpec((0, 1, 1, 0), 0), 2)
+    with pytest.raises(StoreError):
+        simulate_statevector(parse_qasm(BELL), "legacy", store=store)
+
+
+def test_run_follows_store_mode():
+    _s, explicit = simulate_statevector(gen_ghz(64), "legacy")
+    _s, implied = simulate_statevector(gen_ghz(64), store=NodeStore(64, mode="legacy"))
+    assert implied.mode == "legacy"
+    assert implied.matrix_nodes_created == explicit.matrix_nodes_created
+
+
 def test_amplitude_samples_in_report():
     _state, report = simulate_statevector(
         gen_ghz(8), "new", amplitude_indices=(0, 255, 7)
@@ -188,7 +204,7 @@ def test_dot_new_mode_cnot_two_ranks():
     from qdd import GateSpec, make_gate_dd
 
     store = NodeStore(4)
-    edge = make_gate_dd(store, GateSpec((0, 1, 1, 0), 0, ((3, True),)), 4, "new")
+    edge = make_gate_dd(store, GateSpec((0, 1, 1, 0), 0, ((3, True),)), 4)
     dot = export_dot(store, edge, "matrix")
     assert dot.count("rank=same") == 2
     assert dot.count("shape=circle") == 2

@@ -43,11 +43,26 @@ def test_successor_level_must_be_below(store):
         store.ut_lookup(VEC, 2, (node, ONE, ZERO_STUB, ZERO))
 
 
+def test_unknown_mode_rejected():
+    with pytest.raises(ValueError):
+        NodeStore(3, mode="bogus")
+
+
+def test_mode_fixed_once_matrix_nodes_exist(store):
+    store.mode = "legacy"  # no matrix node yet: the store may still switch
+    store.mode = "new"
+    make_gate_dd(store, GateSpec(X, 0, ((7, True),)), 8)
+    store.mode = "new"  # setting the held mode again is no change
+    with pytest.raises(StoreError):
+        store.mode = "legacy"
+    assert store.mode == "new"
+
+
 def test_cnot_built_twice_inserts_once(store):
     spec = GateSpec(X, 0, ((7, True),))
-    make_gate_dd(store, spec, 8, "new")
+    make_gate_dd(store, spec, 8)
     assert store.created_m == 2
-    make_gate_dd(store, spec, 8, "new")
+    make_gate_dd(store, spec, 8)
     assert store.created_m == 2
 
 
@@ -129,7 +144,7 @@ def test_repeated_multiply_hits_cache_at_top():
 
     store = NodeStore(4)
     spec = GateSpec(X, 0, ((3, True),))
-    gate = make_gate_dd(store, spec, 4, "new")
+    gate = make_gate_dd(store, spec, 4)
     state = make_basis_state(store, 4, "0000")
     multiply_mv(store, gate, state, 3)
     misses_after_first = store.ct_misses
