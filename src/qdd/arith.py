@@ -18,7 +18,10 @@ The levels of a matrix-vector product above the matrix root are pure
 identity: there the product only rebuilds the paths of the vector down
 to the matrix root. That region is memoized per call, keyed by vector
 node, and never touches the compute table; the table is consulted only
-at and below the matrix root.
+at and below the matrix root. At a matrix node the product is written
+out per quadrant: row i of the result is u(2i)*v0 + u(2i+1)*v1, and the
+four products and two sums run in that fixed order, which fixes the
+order in which nodes and weights are created.
 """
 
 from __future__ import annotations
@@ -101,36 +104,34 @@ def _mul_mv(store, ut, uw, vt, vw, level):
     if hit is not None:
         r = hit
     else:
-        vsucc = store.v_succ[vt]
+        v0t, v0w, v1t, v1w = store.v_succ[vt]
+        below = level - 1
         if store.m_level[ut] == level:
-            usucc = store.m_succ[ut]
-            edges = []
-            for i in (0, 1):
-                acc = ZERO_EDGE
-                for j in (0, 1):
-                    ew = usucc[4 * i + 2 * j + 1]
-                    if ew == ZERO:
-                        continue
-                    fw = vsucc[2 * j + 1]
-                    if fw == ZERO:
-                        continue
-                    m = _mul_mv(store, usucc[4 * i + 2 * j], ew, vsucc[2 * j], fw, level - 1)
-                    if acc[1] == ZERO:
-                        acc = m
-                    elif m[1] != ZERO:
-                        acc = _add_v(store, acc, m, level - 1)
-                edges.append(acc)
-            r = make_vector_node(store, level, edges[0], edges[1])
+            # row i is u(2i)*v0 + u(2i+1)*v1; rows and terms in this order
+            u0t, u0w, u1t, u1w, u2t, u2w, u3t, u3w = store.m_succ[ut]
+            e0 = e1 = ZERO_EDGE
+            if u0w != ZERO and v0w != ZERO:
+                e0 = _mul_mv(store, u0t, u0w, v0t, v0w, below)
+            if u1w != ZERO and v1w != ZERO:
+                m = _mul_mv(store, u1t, u1w, v1t, v1w, below)
+                if e0[1] == ZERO:
+                    e0 = m
+                elif m[1] != ZERO:
+                    e0 = _add_v(store, e0, m, below)
+            if u2w != ZERO and v0w != ZERO:
+                e1 = _mul_mv(store, u2t, u2w, v0t, v0w, below)
+            if u3w != ZERO and v1w != ZERO:
+                m = _mul_mv(store, u3t, u3w, v1t, v1w, below)
+                if e1[1] == ZERO:
+                    e1 = m
+                elif m[1] != ZERO:
+                    e1 = _add_v(store, e1, m, below)
+            r = make_vector_node(store, level, e0, e1)
         else:
             # skipped matrix level: identity on the diagonal, no additions
-            e0 = _mul_mv(store, ut, ONE, vsucc[0], vsucc[1], level - 1)
-            e1 = _mul_mv(store, ut, ONE, vsucc[2], vsucc[3], level - 1)
-            if (
-                e0[0] == vsucc[0]
-                and e0[1] == vsucc[1]
-                and e1[0] == vsucc[2]
-                and e1[1] == vsucc[3]
-            ):
+            e0 = _mul_mv(store, ut, ONE, v0t, v0w, below)
+            e1 = _mul_mv(store, ut, ONE, v1t, v1w, below)
+            if e0[0] == v0t and e0[1] == v0w and e1[0] == v1t and e1[1] == v1w:
                 # children untouched: the stored node is already the result
                 r = (vt, ONE)
             else:

@@ -11,7 +11,10 @@ A "legacy" store holds the conventional full-height representation in
 which every gate is padded with explicit identity nodes. The identity
 chains I_0 .. I_k that padding reads are kept in the store's identity
 table (NodeStore.identity_m), so a legacy gate looks up only its own
-nodes, not the identity structure below them, in the unique table.
+nodes, not the identity structure below them, in the unique table. A
+padded level [e, 0, 0, e] with e = (t, w) is already normalized: it is
+written straight to the unique table as (node [t, 1, 0, 0, 0, 0, t, 1], w),
+the edge make_matrix_node returns for it.
 
 Stored nodes are normalized by the first successor weight of maximal
 magnitude, folded into the incoming edge. That keeps identity-shaped
@@ -136,8 +139,7 @@ def make_matrix_node(store: NodeStore, level: int, succ) -> tuple:
         and store.mode != MODE_LEGACY  # last: only identity shapes read it
     ):
         return (t0, norm)
-    node, _ = store.ut_lookup(MAT, level, (t0, w0, t1, w1, t2, w2, t3, w3))
-    return (node, norm)
+    return (store.ut_lookup_m(level, (t0, w0, t1, w1, t2, w2, t3, w3)), norm)
 
 
 def identity_chain(store: NodeStore, top_level: int) -> tuple:
@@ -175,7 +177,18 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
         quads.append((TERMINAL, w) if w != ZERO else ZERO_EDGE_M)
 
     target = spec.target
-    for level in range(target) if legacy else sorted(below):
+    if legacy:
+        # below the lowest control (or the target) every nonzero quadrant
+        # is w*I: it becomes w*I_(start-1), read from the identity table,
+        # which extends the chain in the order level-by-level padding would
+        start = min(below, default=target)
+        if start:
+            ident = identity_chain(store, start - 1)[0]
+            quads = [q if q[1] == ZERO else (ident, q[1]) for q in quads]
+        levels = range(start, target)
+    else:
+        levels = sorted(below)
+    for level in levels:
         if level in below:
             ident = identity_chain(store, level - 1)
             pos = below[level]
@@ -186,23 +199,19 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
                     store, level, (inactive, ZERO_EDGE_M, ZERO_EDGE_M, active)
                 )
         else:
-            # legacy padding: a quadrant w*I_{level-1} becomes w*I_level, the
-            # edge make_matrix_node would return; I_{level-1} is recognized
-            # only if the identity table already holds it
-            if level == 0:
-                ident = TERMINAL
-            elif level <= len(store.identity_m):
-                ident = store.identity_m[level - 1][0]
-            else:
-                ident = None
+            # legacy padding above a control: a quadrant w*I_(level-1) becomes
+            # w*I_level (recognized only if the identity table holds
+            # I_(level-1)); any other is padded as in the module docstring
+            ident = store.identity_m[level - 1][0] if level <= len(store.identity_m) else None
             for idx in range(4):
-                q = quads[idx]
-                if q[1] == ZERO:
+                t, w = quads[idx]
+                if w == ZERO:
                     continue
-                if q[0] == ident:
-                    quads[idx] = (identity_chain(store, level)[0], q[1])
+                if t == ident:
+                    quads[idx] = (identity_chain(store, level)[0], w)
                 else:
-                    quads[idx] = make_matrix_node(store, level, (q, ZERO_EDGE_M, ZERO_EDGE_M, q))
+                    succ = (t, ONE, ZERO_STUB, ZERO, ZERO_STUB, ZERO, t, ONE)
+                    quads[idx] = (store.ut_lookup_m(level, succ), w)
 
     edge = make_matrix_node(store, target, tuple(quads))
 
@@ -216,9 +225,9 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
                 succ = (edge, ZERO_EDGE_M, ZERO_EDGE_M, ident)
             edge = make_matrix_node(store, level, succ)
         else:
-            edge = make_matrix_node(
-                store, level, (edge, ZERO_EDGE_M, ZERO_EDGE_M, edge)
-            )
+            t, w = edge
+            succ = (t, ONE, ZERO_STUB, ZERO, ZERO_STUB, ZERO, t, ONE)
+            edge = (store.ut_lookup_m(level, succ), w)
     return edge
 
 

@@ -1,7 +1,10 @@
 """Canonical node storage: unique tables, reference counts, GC, compute table.
 
 Node handles are plain ints with one id space per node kind ("v" for
-vector nodes with 2 successors, "m" for matrix nodes with 4). Two
+vector nodes with 2 successors, "m" for matrix nodes with 4). Each kind
+has its own unique-table lookup (ut_lookup_v, ut_lookup_m), and the
+refcount walks run one loop per arity, so no per-node step dispatches
+on the kind; a kind string other than VEC or MAT raises StoreError. Two
 sentinel targets live below every level:
 
     TERMINAL  -- the path end; a matrix edge pointing at it denotes a
@@ -143,113 +146,168 @@ class NodeStore:
 
     # -- unique tables -------------------------------------------------
 
-    def ut_lookup(self, kind: str, level: int, succ: tuple) -> tuple[int, bool]:
-        """Canonical node for a flat successor tuple; inserts if absent."""
-        if kind == VEC:
-            table = self.ut_v[level]
-            self.ut_lookups_v[level] += 1
-            node = table.get(succ)
-            if node is not None:
-                return node, False
-            levels = self.v_level
-            for i in (0, 2):
-                t = succ[i]
-                if t >= 0 and levels[t] >= level:
-                    raise StoreError(
-                        f"successor level {levels[t]} not below node level {level}"
-                    )
-            free = self._v_free
-            if free:
-                node = free.pop()
-                levels[node] = level
-                self.v_succ[node] = succ
-                self.v_ref[node] = 0
-            else:
-                node = len(levels)
-                levels.append(level)
-                self.v_succ.append(succ)
-                self.v_ref.append(0)
-            table[succ] = node
-            self.created_v += 1
-            self.allocated_v += 1
-            if len(table) > self._table_limit or self.allocated_v > self._global_limit:
-                self._pressure = True
-            return node, True
-        elif kind == MAT:
-            table = self.ut_m[level]
-            self.ut_lookups_m[level] += 1
-            node = table.get(succ)
-            if node is not None:
-                return node, False
-            levels = self.m_level
-            for i in (0, 2, 4, 6):
-                t = succ[i]
-                if t >= 0 and levels[t] >= level:
-                    raise StoreError(
-                        f"successor level {levels[t]} not below node level {level}"
-                    )
-            free = self._m_free
-            if free:
-                node = free.pop()
-                levels[node] = level
-                self.m_succ[node] = succ
-                self.m_ref[node] = 0
-            else:
-                node = len(levels)
-                levels.append(level)
-                self.m_succ.append(succ)
-                self.m_ref.append(0)
-            table[succ] = node
-            self.created_m += 1
-            self.allocated_m += 1
-            if len(table) > self._table_limit or self.allocated_m > self._global_limit:
-                self._pressure = True
-            return node, True
-        raise StoreError(f"unknown node kind {kind!r}")
+    def ut_lookup_v(self, level: int, succ: tuple) -> int:
+        """Canonical vector node for a flat successor tuple (t0, w0, t1,
+        w1); inserts it if absent."""
+        table = self.ut_v[level]
+        self.ut_lookups_v[level] += 1
+        node = table.get(succ)
+        if node is not None:
+            return node
+        levels = self.v_level
+        t0, _, t1, _ = succ
+        for t in (t0, t1):
+            if t >= 0 and levels[t] >= level:
+                raise StoreError(f"successor level {levels[t]} not below node level {level}")
+        free = self._v_free
+        if free:
+            node = free.pop()
+            levels[node] = level
+            self.v_succ[node] = succ
+            self.v_ref[node] = 0
+        else:
+            node = len(levels)
+            levels.append(level)
+            self.v_succ.append(succ)
+            self.v_ref.append(0)
+        table[succ] = node
+        self.created_v += 1
+        self.allocated_v += 1
+        if len(table) > self._table_limit or self.allocated_v > self._global_limit:
+            self._pressure = True
+        return node
+
+    def ut_lookup_m(self, level: int, succ: tuple) -> int:
+        """Canonical matrix node for a flat successor tuple (t0, w0, ...,
+        t3, w3); inserts it if absent."""
+        table = self.ut_m[level]
+        self.ut_lookups_m[level] += 1
+        node = table.get(succ)
+        if node is not None:
+            return node
+        levels = self.m_level
+        t0, _, t1, _, t2, _, t3, _ = succ
+        for t in (t0, t1, t2, t3):
+            if t >= 0 and levels[t] >= level:
+                raise StoreError(f"successor level {levels[t]} not below node level {level}")
+        free = self._m_free
+        if free:
+            node = free.pop()
+            levels[node] = level
+            self.m_succ[node] = succ
+            self.m_ref[node] = 0
+        else:
+            node = len(levels)
+            levels.append(level)
+            self.m_succ.append(succ)
+            self.m_ref.append(0)
+        table[succ] = node
+        self.created_m += 1
+        self.allocated_m += 1
+        if len(table) > self._table_limit or self.allocated_m > self._global_limit:
+            self._pressure = True
+        return node
 
     # -- reference counting --------------------------------------------
 
+    def _arrays(self, kind: str) -> tuple[list, list]:
+        """(refs, succs) of one node kind."""
+        if kind == VEC:
+            return self.v_ref, self.v_succ
+        if kind == MAT:
+            return self.m_ref, self.m_succ
+        raise StoreError(f"unknown node kind {kind!r}")
+
     def inc_ref(self, kind: str, edge: tuple) -> None:
+        """Reference the target of `edge`; a node referenced for the first
+        time references its children in turn."""
+        refs, succs = self._arrays(kind)
         target = edge[0]
         if target < 0:
             return
-        refs = self.v_ref if kind == VEC else self.m_ref
-        succs = self.v_succ if kind == VEC else self.m_succ
-        targets = (0, 2) if kind == VEC else (0, 2, 4, 6)
+        live = self._ref_live
         stack = [target]
-        while stack:
-            node = stack.pop()
-            refs[node] += 1
-            if refs[node] == 1:
-                self._ref_live += 1
-                if self._ref_live > self.peak_live:
-                    self.peak_live = self._ref_live
-                succ = succs[node]
-                for i in targets:
-                    t = succ[i]
-                    if t >= 0:
-                        stack.append(t)
+        pop = stack.pop
+        push = stack.append
+        if kind == VEC:
+            while stack:
+                node = pop()
+                r = refs[node] + 1
+                refs[node] = r
+                if r == 1:
+                    live += 1
+                    t0, _, t1, _ = succs[node]
+                    if t0 >= 0:
+                        push(t0)
+                    if t1 >= 0:
+                        push(t1)
+        else:
+            while stack:
+                node = pop()
+                r = refs[node] + 1
+                refs[node] = r
+                if r == 1:
+                    live += 1
+                    t0, _, t1, _, t2, _, t3, _ = succs[node]
+                    if t0 >= 0:
+                        push(t0)
+                    if t1 >= 0:
+                        push(t1)
+                    if t2 >= 0:
+                        push(t2)
+                    if t3 >= 0:
+                        push(t3)
+        # the live count only rises during the walk, so its end is its peak
+        self._ref_live = live
+        if live > self.peak_live:
+            self.peak_live = live
 
     def dec_ref(self, kind: str, edge: tuple) -> None:
+        """Release one reference to the target of `edge`; a node whose
+        count drops to zero releases its children in turn."""
+        refs, succs = self._arrays(kind)
         target = edge[0]
         if target < 0:
             return
-        refs = self.v_ref if kind == VEC else self.m_ref
-        succs = self.v_succ if kind == VEC else self.m_succ
-        targets = (0, 2) if kind == VEC else (0, 2, 4, 6)
+        live = self._ref_live
         stack = [target]
-        while stack:
-            node = stack.pop()
-            if refs[node] <= 0:
-                raise StoreError(f"refcount underflow on {kind}{node}")
-            refs[node] -= 1
-            if refs[node] == 0:
-                self._ref_live -= 1
-                succ = succs[node]
-                for i in targets:
-                    t = succ[i]
-                    if t >= 0:
-                        stack.append(t)
+        pop = stack.pop
+        push = stack.append
+        if kind == VEC:
+            while stack:
+                node = pop()
+                r = refs[node] - 1
+                if r < 0:
+                    self._ref_live = live
+                    raise StoreError(f"refcount underflow on {kind}{node}")
+                refs[node] = r
+                if r == 0:
+                    live -= 1
+                    t0, _, t1, _ = succs[node]
+                    if t0 >= 0:
+                        push(t0)
+                    if t1 >= 0:
+                        push(t1)
+        else:
+            while stack:
+                node = pop()
+                r = refs[node] - 1
+                if r < 0:
+                    self._ref_live = live
+                    raise StoreError(f"refcount underflow on {kind}{node}")
+                refs[node] = r
+                if r == 0:
+                    live -= 1
+                    t0, _, t1, _, t2, _, t3, _ = succs[node]
+                    if t0 >= 0:
+                        push(t0)
+                    if t1 >= 0:
+                        push(t1)
+                    if t2 >= 0:
+                        push(t2)
+                    if t3 >= 0:
+                        push(t3)
+        self._ref_live = live
 
     # -- garbage collection ----------------------------------------------
 
@@ -321,9 +379,9 @@ class NodeStore:
 
     def reachable(self, kind: str, target: int) -> set[int]:
         """Ids of the nodes reachable from `target`, itself included."""
+        succs = self._arrays(kind)[1]
         if target < 0:
             return set()
-        succs = self.v_succ if kind == VEC else self.m_succ
         seen = {target}
         stack = [target]
         while stack:

@@ -43,7 +43,7 @@ def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tupl
     if -_NORM_SLACK < n2 - 1.0 < _NORM_SLACK:
         lv = wt.values[lead]
         if lv.imag == 0.0 and lv.real > 0.0:
-            node, _ = store.ut_lookup(VEC, level, (t0, w0, t1, w1))
+            node = store.ut_lookup_v(level, (t0, w0, t1, w1))
             return (node, ONE)
     lv = wt.values[lead]
     factor = (math.sqrt(n2) / abs(lv)) * lv
@@ -57,7 +57,7 @@ def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tupl
         return make_vector_node(
             store, level, ZERO_EDGE if w0 == ZERO else e0, ZERO_EDGE if w1 == ZERO else e1
         )
-    node, _ = store.ut_lookup(VEC, level, (t0, w0, t1, w1))
+    node = store.ut_lookup_v(level, (t0, w0, t1, w1))
     return (node, fh)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dense import read_matrix, spec_matrix
-from qdd import GateSpec, NodeStore, make_gate_dd, make_matrix_node, matrix_entry
+from qdd import GateSpec, NodeStore, gen_qft, make_gate_dd, make_matrix_node, matrix_entry
 from qdd.mdd import ZERO_EDGE_M, identity_chain, identity_node_ids, node_count, resembles_identity
 from qdd.store import MAT, TERMINAL, ZERO_STUB
 from qdd.weights import ONE, ZERO
@@ -265,3 +265,60 @@ def test_legacy_identity_table_cleared_by_gc(n):
 def test_node_count_helper(store):
     edge = make_gate_dd(store, GateSpec(X, 0, ((5, True),)), 10)
     assert node_count(store, edge) == 2
+
+
+def _reference_gate_dd(store, spec, n):
+    """Legacy gate DD built level by level through make_matrix_node, with
+    no identity table: every level, padding included, is normalized."""
+
+    def diag(level, a, b):
+        return make_matrix_node(store, level, (a, ZERO_EDGE_M, ZERO_EDGE_M, b))
+
+    wt = store.weights
+    quads = []
+    for u in spec.base:
+        w = wt.intern(u.real, u.imag)
+        quads.append((TERMINAL, w) if w != ZERO else ZERO_EDGE_M)
+    controls = dict(spec.controls)
+    ident = (TERMINAL, ONE)  # I_(level-1)
+    for level in range(spec.target):
+        diags = (ident, ZERO_EDGE_M, ZERO_EDGE_M, ident)
+        if level not in controls:
+            quads = [diag(level, q, q) for q in quads]
+        elif controls[level]:
+            quads = [diag(level, d, q) for q, d in zip(quads, diags)]
+        else:
+            quads = [diag(level, q, d) for q, d in zip(quads, diags)]
+        ident = diag(level, ident, ident)
+    edge = make_matrix_node(store, spec.target, quads)
+    ident = diag(spec.target, ident, ident)
+    for level in range(spec.target + 1, n):
+        if level not in controls:
+            edge = diag(level, edge, edge)
+        elif controls[level]:
+            edge = diag(level, ident, edge)
+        else:
+            edge = diag(level, edge, ident)
+        ident = diag(level, ident, ident)
+    return edge
+
+
+def test_legacy_padding_matches_level_by_level_reference():
+    # every padded level make_gate_dd writes straight into the unique table
+    # must be the node make_matrix_node builds for it
+    n = 8
+    store = NodeStore(n, mode="legacy")
+    specs = gen_qft(n).to_specs() + [
+        GateSpec(X, 2, ((5, True),)),  # CX, control above
+        GateSpec(X, 5, ((2, True),)),  # CX, control below
+        GateSpec(X, 3, ((1, True), (6, True))),  # CCX
+        GateSpec(X, 4, ((1, False), (6, False))),  # negative controls
+        GateSpec(H, 6, ((0, False), (3, True), (7, False))),
+        GateSpec(Z, 0),
+        GateSpec(H, 7),
+    ]
+    for spec in specs:
+        ref = _reference_gate_dd(store, spec, n)
+        created = store.created_m
+        assert make_gate_dd(store, spec, n) == ref, spec
+        assert store.created_m == created, spec

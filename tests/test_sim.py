@@ -17,7 +17,8 @@ from qdd import (
     simulate_unitary,
 )
 from qdd.circuit import Circuit
-from qdd.vdd import ZERO_EDGE
+from qdd.mdd import node_count as matrix_node_count
+from qdd.vdd import ZERO_EDGE, node_count as vector_node_count
 
 S2 = 1.0 / math.sqrt(2.0)
 BELL = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n"
@@ -221,3 +222,40 @@ def test_dot_deterministic():
     store1, state1 = bell_store_and_state()
     store2, state2 = bell_store_and_state()
     assert export_dot(store1, state1, "vector") == export_dot(store2, state2, "vector")
+
+
+def _qft_on_basis(n, x):
+    circuit = Circuit(n, name="qft")
+    for wire in range(n):
+        if (x >> (n - 1 - wire)) & 1:
+            circuit.add("x", wire)
+    circuit.gates.extend(gen_qft(n).gates)
+    return circuit
+
+
+# (matrix nodes created, vector nodes created, peak live nodes, final nodes).
+# Node counts are the paper's metric: a change that only makes the engine
+# faster must leave every figure as it is.
+@pytest.mark.parametrize(
+    "case, mode, pinned",
+    [
+        ("ghz64", "new", (127, 2144, 192, 127)),
+        ("ghz64", "legacy", (2143, 2144, 255, 127)),
+        ("qft16", "new", (301, 1007, 60, 16)),
+        ("qft16", "legacy", (1814, 1007, 86, 16)),
+        ("qft5-unitary", "new", (1084, 0, 514, 341)),
+        ("qft5-unitary", "legacy", (1133, 0, 521, 341)),
+    ],
+)
+def test_node_counts_pinned(case, mode, pinned):
+    if case == "qft5-unitary":
+        store = NodeStore(5)
+        root, report = simulate_unitary(gen_qft(5), mode, store=store)
+        final = matrix_node_count(store, root)
+    else:
+        circuit = gen_ghz(64) if case == "ghz64" else _qft_on_basis(16, 0xB38D)
+        store = NodeStore(circuit.n)
+        root, report = simulate_statevector(circuit, mode, store=store)
+        final = vector_node_count(store, root)
+    got = (report.matrix_nodes_created, report.vector_nodes_created, report.peak_live_nodes, final)
+    assert got == pinned

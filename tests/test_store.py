@@ -1,9 +1,11 @@
 """Unique-table canonicity, reference counting, GC, and the compute table."""
 
+from collections import Counter
+
 import pytest
 
 from qdd import GateSpec, NodeStore, make_basis_state, make_gate_dd
-from qdd.store import ADD_V, StoreError, TERMINAL, VEC, ZERO_STUB
+from qdd.store import ADD_V, MAT, StoreError, TERMINAL, VEC, ZERO_STUB
 from qdd.vdd import ZERO_EDGE, amplitude, make_vector_node
 from qdd.weights import ONE, ZERO
 
@@ -21,26 +23,26 @@ def basis_tuple(store):
 
 def test_ut_lookup_is_canonical(store):
     succ = basis_tuple(store)
-    n1, inserted1 = store.ut_lookup(VEC, 0, succ)
-    n2, inserted2 = store.ut_lookup(VEC, 0, succ)
+    n1 = store.ut_lookup_v(0, succ)
+    assert store.created_v == 1
+    n2 = store.ut_lookup_v(0, succ)
     assert n1 == n2
-    assert inserted1 and not inserted2
     assert store.created_v == 1
 
 
 def test_distinct_weights_distinct_nodes(store):
     half = store.weights.intern(0.5, 0.0)
-    a, _ = store.ut_lookup(VEC, 0, (TERMINAL, ONE, TERMINAL, ONE))
-    b, _ = store.ut_lookup(VEC, 0, (TERMINAL, half, TERMINAL, ONE))
+    a = store.ut_lookup_v(0, (TERMINAL, ONE, TERMINAL, ONE))
+    b = store.ut_lookup_v(0, (TERMINAL, half, TERMINAL, ONE))
     assert a != b
 
 
 def test_successor_level_must_be_below(store):
-    node, _ = store.ut_lookup(VEC, 3, basis_tuple(store))
+    node = store.ut_lookup_v(3, basis_tuple(store))
     with pytest.raises(StoreError):
-        store.ut_lookup(VEC, 3, (node, ONE, ZERO_STUB, ZERO))
+        store.ut_lookup_v(3, (node, ONE, ZERO_STUB, ZERO))
     with pytest.raises(StoreError):
-        store.ut_lookup(VEC, 2, (node, ONE, ZERO_STUB, ZERO))
+        store.ut_lookup_v(2, (node, ONE, ZERO_STUB, ZERO))
 
 
 def test_unknown_mode_rejected():
@@ -95,6 +97,40 @@ def test_dec_ref_underflow_fails_fast(store):
     edge = make_basis_state(store, 2, "00")
     with pytest.raises(StoreError):
         store.dec_ref(VEC, edge)
+
+
+def test_matrix_refcount_walk_counts_shared_nodes():
+    # a legacy CX shares identity-chain nodes between its quadrants and
+    # its control level; each node is live once, however many parents
+    store = NodeStore(8, mode="legacy")
+    state = make_basis_state(store, 8, "0" * 8)
+    store.inc_ref(VEC, state)
+    peak = store.peak_live
+    gate = make_gate_dd(store, GateSpec(X, 2, ((5, True),)), 8)
+    nodes = store.reachable(MAT, gate[0])
+    parents = Counter(t for node in nodes for t in store.m_succ[node][0::2] if t >= 0)
+    assert max(parents.values()) > 1
+    store.inc_ref(MAT, gate)
+    assert store.peak_live - peak == len(nodes)
+    parents[gate[0]] += 1
+    assert {node: store.m_ref[node] for node in nodes} == parents
+    store.dec_ref(MAT, gate)
+    assert not any(store.m_ref)
+    assert store.referenced_live() == peak
+    with pytest.raises(StoreError):
+        store.dec_ref(MAT, gate)
+
+
+def test_unknown_node_kind_rejected():
+    # any kind but VEC or MAT used to be read as MAT
+    store = NodeStore(8)
+    gate = make_gate_dd(store, GateSpec(X, 0, ((7, True),)), 8)
+    for call in (store.inc_ref, store.dec_ref):
+        with pytest.raises(StoreError):
+            call("vec", gate)
+    with pytest.raises(StoreError):
+        store.reachable("vec", gate[0])
+    assert not any(store.m_ref)
 
 
 def test_gc_on_empty_store(store):
@@ -186,7 +222,7 @@ def test_automatic_gc_triggers_on_table_pressure():
     store._table_limit = 64
     for k in range(80):  # distinct unreferenced level-0 nodes
         w = store.weights.intern(0.001 + k, 0.0)
-        store.ut_lookup(VEC, 0, (TERMINAL, w, ZERO_STUB, ZERO))
+        store.ut_lookup_v(0, (TERMINAL, w, ZERO_STUB, ZERO))
     assert store.maybe_collect() > 0
     assert store.gc_runs == 1
     assert store.allocated_v == 0
