@@ -30,7 +30,7 @@ from .mdd import (
     matrix_entry,
     resembles_identity,
 )
-from .arith import add_matrices, add_vectors, multiply_mm, multiply_mv
+from .arith import add_vectors, multiply_mm, multiply_mv
 from .circuit import (
     Circuit,
     Gate,
@@ -62,7 +62,7 @@ __all__ = [
     "ZERO_EDGE", "amplitude", "make_basis_state", "make_vector_node", "vnorm2",
     "GateSpec", "ZERO_EDGE_M", "identity_chain", "make_gate_dd", "make_matrix_node",
     "matrix_entry", "resembles_identity",
-    "add_matrices", "add_vectors", "multiply_mm", "multiply_mv",
+    "add_vectors", "multiply_mm", "multiply_mv",
     "Circuit", "Gate", "QasmError", "QasmSemanticError", "QasmSyntaxError",
     "SerializationError", "circuit_to_qasm", "parse_qasm",
     "FAMILIES", "gen_bv", "gen_ghz", "gen_grover", "gen_qft", "gen_qpe", "gen_w",

@@ -35,7 +35,7 @@ from .weights import ONE, ZERO
 def _misrooted(store: NodeStore, vt: int, level: int) -> StoreError:
     """Vectors never skip levels: the error for a nonzero vector edge at
     level >= 0 whose target is not a node rooted at `level`."""
-    found = f"rooted at {store.v_level[vt]}" if vt >= 0 else "not a node"
+    found = f"rooted at {store.vec.level[vt]}" if vt >= 0 else "not a node"
     return StoreError(f"vector is {found}, expected a node at level {level}")
 
 
@@ -43,17 +43,17 @@ def multiply_mv(store: NodeStore, u: tuple, v: tuple, level: int) -> tuple:
     """Matrix-vector product U*v with v rooted at `level`. Skipped matrix
     levels act as identity; a terminal matrix edge is a scaled identity."""
     vt = v[0]
-    if v[1] != ZERO and level >= 0 and (vt < 0 or store.v_level[vt] != level):
+    if v[1] != ZERO and level >= 0 and (vt < 0 or store.vec.level[vt] != level):
         raise _misrooted(store, vt, level)
     ut = u[0]
-    if ut >= 0 and store.m_level[ut] > level:
+    if ut >= 0 and store.mat.level[ut] > level:
         raise StoreError(f"matrix rooted above level {level}")
-    if ut < 0 or store.m_level[ut] == level:
+    if ut < 0 or store.mat.level[ut] == level:
         return _mul_mv(store, ut, u[1], vt, v[1], level)
     w = store.weights.mul(u[1], v[1])
     if w == ZERO:
         return ZERO_EDGE
-    return _mul_mv_above(store, ut, store.m_level[ut], vt, w, level, {})
+    return _mul_mv_above(store, ut, store.mat.level[ut], vt, w, level, {})
 
 
 def _mul_mv_above(store, ut, ulevel, vt, vw, level, memo):
@@ -63,7 +63,7 @@ def _mul_mv_above(store, ut, ulevel, vt, vw, level, memo):
     it a state like H^n would take 2^level paths)."""
     r = memo.get(vt)
     if r is None:
-        t0, w0, t1, w1 = store.v_succ[vt]
+        t0, w0, t1, w1 = store.vec.succ[vt]
         below = level - 1
         if below == ulevel:
             e0 = ZERO_EDGE if w0 == ZERO else _mul_mv(store, ut, ONE, t0, w0, below)
@@ -99,16 +99,16 @@ def _mul_mv(store, ut, uw, vt, vw, level):
             return ZERO_EDGE
     if ut == TERMINAL:
         return (vt, ow)
-    key = (ut, vt)  # vector nodes never skip, so level == v_level[vt]
+    key = (ut, vt)  # vector nodes never skip, so level == vec.level[vt]
     hit = store.ct_lookup(MUL_MV, key)
     if hit is not None:
         r = hit
     else:
-        v0t, v0w, v1t, v1w = store.v_succ[vt]
+        v0t, v0w, v1t, v1w = store.vec.succ[vt]
         below = level - 1
-        if store.m_level[ut] == level:
+        if store.mat.level[ut] == level:
             # row i is u(2i)*v0 + u(2i+1)*v1; rows and terms in this order
-            u0t, u0w, u1t, u1w, u2t, u2w, u3t, u3w = store.m_succ[ut]
+            u0t, u0w, u1t, u1w, u2t, u2w, u3t, u3w = store.mat.succ[ut]
             e0 = e1 = ZERO_EDGE
             if u0w != ZERO and v0w != ZERO:
                 e0 = _mul_mv(store, u0t, u0w, v0t, v0w, below)
@@ -151,7 +151,7 @@ def _mul_mv(store, ut, uw, vt, vw, level):
 def add_vectors(store: NodeStore, a: tuple, b: tuple, level: int) -> tuple:
     """Elementwise sum of two states rooted at `level` (or zero edges)."""
     for t, w in (a, b):
-        if w != ZERO and level >= 0 and (t < 0 or store.v_level[t] != level):
+        if w != ZERO and level >= 0 and (t < 0 or store.vec.level[t] != level):
             raise _misrooted(store, t, level)
     return _add_v(store, a, b, level)
 
@@ -170,14 +170,14 @@ def _add_v(store, a, b, level):
     if (bt, bw) < (at, aw):
         at, aw, bt, bw = bt, bw, at, aw
     rel = wt.div(bw, aw)
-    key = (at, bt, rel)  # vector nodes never skip, so level == v_level[at]
+    key = (at, bt, rel)  # vector nodes never skip, so level == vec.level[at]
     hit = store.ct_lookup(ADD_V, key)
     if hit is not None:
         rt, rw = hit
         w = wt.mul(aw, rw)
         return ZERO_EDGE if w == ZERO else (rt, w)
-    asucc = store.v_succ[at]
-    bsucc = store.v_succ[bt]
+    asucc = store.vec.succ[at]
+    bsucc = store.vec.succ[bt]
     edges = []
     for j in (0, 2):
         ea = (asucc[j], asucc[j + 1])
@@ -196,7 +196,7 @@ def multiply_mm(store: NodeStore, a: tuple, b: tuple, level: int) -> tuple:
     """Matrix-matrix product A*B; either operand may skip levels. If both
     skip the current level the result skips it too."""
     for e in (a, b):
-        if e[0] >= 0 and store.m_level[e[0]] > level:
+        if e[0] >= 0 and store.mat.level[e[0]] > level:
             raise StoreError(f"matrix rooted above level {level}")
     return _mul_mm(store, a[0], a[1], b[0], b[1])
 
@@ -209,8 +209,8 @@ def _mul_mm(store, at, aw, bt, bw):
         w = wt.mul(aw, bw)
         other = bt if at == TERMINAL else at
         return ZERO_EDGE_M if w == ZERO else (other, w)
-    la = store.m_level[at]
-    lb = store.m_level[bt]
+    la = store.mat.level[at]
+    lb = store.mat.level[bt]
     level = la if la >= lb else lb
     key = (at, bt)
     hit = store.ct_lookup(MUL_MM, key)
@@ -218,8 +218,8 @@ def _mul_mm(store, at, aw, bt, bw):
         rt, rw = hit
         w = wt.mul(wt.mul(aw, bw), rw)
         return ZERO_EDGE_M if w == ZERO else (rt, w)
-    asucc = store.m_succ[at] if la == level else None
-    bsucc = store.m_succ[bt] if lb == level else None
+    asucc = store.mat.succ[at] if la == level else None
+    bsucc = store.mat.succ[bt] if lb == level else None
     edges = [ZERO_EDGE_M] * 4
     for i in (0, 1):
         for j in (0, 1):
@@ -253,15 +253,6 @@ def _mul_mm(store, at, aw, bt, bw):
     return ZERO_EDGE_M if w == ZERO else (r[0], w)
 
 
-def add_matrices(store: NodeStore, a: tuple, b: tuple, level: int) -> tuple:
-    """Elementwise sum of operators rooted at or below `level`. An operand
-    skipping the top level expands on the fly as [self, 0, 0, self]."""
-    for e in (a, b):
-        if e[0] >= 0 and store.m_level[e[0]] > level:
-            raise StoreError(f"matrix rooted above level {level}")
-    return _add_m(store, a, b)
-
-
 def _add_m(store, a, b):
     at, aw = a
     bt, bw = b
@@ -275,8 +266,8 @@ def _add_m(store, a, b):
         return ZERO_EDGE_M if w == ZERO else (TERMINAL, w)
     if (bt, bw) < (at, aw):
         at, aw, bt, bw = bt, bw, at, aw
-    la = store.m_level[at] if at >= 0 else -1
-    lb = store.m_level[bt] if bt >= 0 else -1
+    la = store.mat.level[at] if at >= 0 else -1
+    lb = store.mat.level[bt] if bt >= 0 else -1
     level = la if la >= lb else lb
     rel = wt.div(bw, aw)
     key = (at, bt, rel)
@@ -285,8 +276,8 @@ def _add_m(store, a, b):
         rt, rw = hit
         w = wt.mul(aw, rw)
         return ZERO_EDGE_M if w == ZERO else (rt, w)
-    asucc = store.m_succ[at] if la == level else None
-    bsucc = store.m_succ[bt] if lb == level else None
+    asucc = store.mat.succ[at] if la == level else None
+    bsucc = store.mat.succ[bt] if lb == level else None
     edges = []
     for idx in range(4):
         diag = idx in (0, 3)

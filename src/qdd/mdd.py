@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .store import MAT, MODE_LEGACY, NodeStore, TERMINAL, ZERO_STUB
+from .store import MODE_LEGACY, NodeStore, TERMINAL, ZERO_STUB
 from .weights import ONE, ZERO
 
 ZERO_EDGE_M = (ZERO_STUB, ZERO)
@@ -86,11 +86,10 @@ class GateSpec:
             raise ValueError("gate base is not unitary")
 
 
-def resembles_identity(succ) -> bool:
-    """True iff a (normalized) successor list is an identity level:
-    first and last edge share one target with weight one, the middle
-    two are zero."""
-    (t0, w0), (t1, w1), (t2, w2), (t3, w3) = succ
+def resembles_identity(t0, w0, t1, w1, t2, w2, t3, w3) -> bool:
+    """True iff normalized flat successors (t0, w0, ..., t3, w3) form an
+    identity level: first and last edge share one target with weight one,
+    the middle two are zero."""
     return (
         w1 == ZERO
         and w2 == ZERO
@@ -129,17 +128,10 @@ def make_matrix_node(store: NodeStore, level: int, succ) -> tuple:
         t2 = ZERO_STUB
     if w3 == ZERO:
         t3 = ZERO_STUB
-    if (
-        w1 == ZERO
-        and w2 == ZERO
-        and t0 == t3
-        and t0 != ZERO_STUB
-        and w0 == ONE
-        and w3 == ONE
-        and store.mode != MODE_LEGACY  # last: only identity shapes read it
-    ):
+    # the mode last: only identity shapes read it
+    if resembles_identity(t0, w0, t1, w1, t2, w2, t3, w3) and store.mode != MODE_LEGACY:
         return (t0, norm)
-    return (store.ut_lookup_m(level, (t0, w0, t1, w1, t2, w2, t3, w3)), norm)
+    return (store.mat.lookup(level, (t0, w0, t1, w1, t2, w2, t3, w3)), norm)
 
 
 def identity_chain(store: NodeStore, top_level: int) -> tuple:
@@ -211,7 +203,7 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
                     quads[idx] = (identity_chain(store, level)[0], w)
                 else:
                     succ = (t, ONE, ZERO_STUB, ZERO, ZERO_STUB, ZERO, t, ONE)
-                    quads[idx] = (store.ut_lookup_m(level, succ), w)
+                    quads[idx] = (store.mat.lookup(level, succ), w)
 
     edge = make_matrix_node(store, target, tuple(quads))
 
@@ -227,7 +219,7 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
         else:
             t, w = edge
             succ = (t, ONE, ZERO_STUB, ZERO, ZERO_STUB, ZERO, t, ONE)
-            edge = (store.ut_lookup_m(level, succ), w)
+            edge = (store.mat.lookup(level, succ), w)
     return edge
 
 
@@ -240,8 +232,8 @@ def matrix_entry(store: NodeStore, m: tuple, row: int, col: int, n: int) -> comp
     if w == ZERO:
         return 0j
     wt = store.weights
-    levels = store.m_level
-    succs = store.m_succ
+    levels = store.mat.level
+    succs = store.mat.succ
     value = wt.values[w]
     for level in range(n - 1, -1, -1):
         rb = (row >> level) & 1
@@ -261,7 +253,7 @@ def matrix_entry(store: NodeStore, m: tuple, row: int, col: int, n: int) -> comp
 
 def node_count(store: NodeStore, m: tuple) -> int:
     """Number of distinct nodes reachable from a matrix edge."""
-    return len(store.reachable(MAT, m[0]))
+    return len(store.mat.reachable(m[0]))
 
 
 def identity_node_ids(store: NodeStore) -> list[int]:
@@ -269,6 +261,6 @@ def identity_node_ids(store: NodeStore) -> list[int]:
     any new-mode store."""
     return [
         node
-        for node, _level, succ in store.matrix_nodes()
-        if resembles_identity(zip(succ[0::2], succ[1::2]))
+        for node, _level, succ in store.mat.nodes()
+        if resembles_identity(*succ)
     ]

@@ -151,8 +151,8 @@ def _simulate(
         mode=store.mode,
         kind=kind,
         wall_time_seconds=dt,
-        matrix_nodes_created=store.created_m,
-        vector_nodes_created=store.created_v,
+        matrix_nodes_created=store.mat.created,
+        vector_nodes_created=store.vec.created,
         peak_live_nodes=store.peak_live,
         gc_runs=store.gc_runs,
         ct_hit_rate=store.ct_hit_rate(),
@@ -200,10 +200,8 @@ def export_dot(store: NodeStore, edge: tuple, kind: str = "vector") -> str:
     """Render a DD as Graphviz DOT: one rank per level, zero-stubs drawn
     as filled dots, weights as edge labels, deterministic node names."""
     wt = store.weights
-    vector = kind == "vector"
-    succs = store.v_succ if vector else store.m_succ
-    levels = store.v_level if vector else store.m_level
-    fanout = 2 if vector else 4
+    pool = store.vec if kind == "vector" else store.mat
+    levels = pool.level
 
     lines = ["digraph dd {", "  rankdir=TB;", "  node [fontsize=10];"]
     lines.append('  root [shape=none, label=""];')
@@ -229,7 +227,7 @@ def export_dot(store: NodeStore, edge: tuple, kind: str = "vector") -> str:
         return "\n".join(lines)
 
     by_level: dict[int, list[int]] = {}
-    for node in store.reachable(VEC if vector else MAT, target):
+    for node in pool.reachable(target):
         by_level.setdefault(levels[node], []).append(node)
 
     def name(node: int, level: int) -> str:
@@ -243,8 +241,8 @@ def export_dot(store: NodeStore, edge: tuple, kind: str = "vector") -> str:
     lines.append(f'  root -> {name(target, levels[target])} [label="{_fmt_weight(wt.values[w])}"];')
     for level in sorted(by_level, reverse=True):
         for node in sorted(by_level[level]):
-            succ = succs[node]
-            for i in range(fanout):
+            succ = pool.succ[node]
+            for i in range(len(succ) // 2):
                 t, sw = succ[2 * i], succ[2 * i + 1]
                 label = str(i) if sw == ONE else f"{i}:{_fmt_weight(wt.values[sw])}"
                 src = name(node, level)

@@ -1,11 +1,14 @@
 """Canonical node storage: unique tables, reference counts, GC, compute table.
 
-Node handles are plain ints with one id space per node kind ("v" for
-vector nodes with 2 successors, "m" for matrix nodes with 4). Each kind
-has its own unique-table lookup (ut_lookup_v, ut_lookup_m), and the
-refcount walks run one loop per arity, so no per-node step dispatches
-on the kind; a kind string other than VEC or MAT raises StoreError. Two
-sentinel targets live below every level:
+Vector nodes (2 successors) and matrix nodes (4 successors) live in two
+pools of one shape, store.vec and store.mat. A pool holds the per-level
+unique tables, the level, successor tuple and reference count of each
+node, a free list and the node-GC pressure state; node handles are plain
+ints with one id space per pool. One method, lookup(level, succ), finds
+or inserts a node of either kind. The refcount walks take a kind, VEC
+or MAT, and run one loop per arity, so no per-node step dispatches on
+the kind; any other kind raises StoreError. Two sentinel targets live
+below every level:
 
     TERMINAL  -- the path end; a matrix edge pointing at it denotes a
                  scaled identity over every level it skips
@@ -31,11 +34,11 @@ and table keys need no mode flag.
 Reference counts propagate transitively: when a node first becomes
 referenced its children gain a reference, and when it ceases to be they
 lose one. A node whose count is zero is reclaimable; reclamation is
-deferred to collect_garbage, which also clears the compute table and the
-legacy identity table because their entries may name swept nodes.
-Automatic collection only happens at safe points (maybe_collect), never
-in the middle of a recursion whose intermediate nodes are not yet
-referenced.
+deferred to collect_garbage, which sweeps both pools and also clears the
+compute table and the legacy identity table because their entries may
+name swept nodes. Automatic collection only happens at safe points
+(maybe_collect), never in the middle of a recursion whose intermediate
+nodes are not yet referenced.
 """
 
 from __future__ import annotations
@@ -70,6 +73,98 @@ class StoreError(RuntimeError):
     """Structural violation or refcount misuse; always a caller bug."""
 
 
+class _Pool:
+    """The nodes of one kind: level, flat successor tuple and reference
+    count per node id, a free list of swept ids, one unique table per
+    level, and the counters and thresholds of node GC."""
+
+    __slots__ = (
+        "level", "succ", "ref", "free", "tables", "lookups", "created", "allocated",
+        "table_limit", "global_limit", "pressure",
+    )
+
+    def __init__(self, num_levels: int) -> None:
+        self.level: list[int] = []
+        self.succ: list[tuple | None] = []
+        self.ref: list[int] = []
+        self.free: list[int] = []
+        self.tables: list[dict] = [dict() for _ in range(num_levels)]
+        # lookups: unique-table lookups, ever; created: insertions, ever;
+        # allocated: nodes held now, referenced or not
+        self.lookups = 0
+        self.created = 0
+        self.allocated = 0
+        self.table_limit = TABLE_GC_THRESHOLD
+        self.global_limit = GLOBAL_GC_THRESHOLD
+        self.pressure = False
+
+    def lookup(self, level: int, succ: tuple) -> int:
+        """Canonical node for a flat successor tuple (t0, w0, t1, w1, ...);
+        inserts it if absent."""
+        table = self.tables[level]
+        self.lookups += 1
+        node = table.get(succ)
+        if node is not None:
+            return node
+        levels = self.level
+        for t in succ[::2]:
+            if t >= 0 and levels[t] >= level:
+                raise StoreError(f"successor level {levels[t]} not below node level {level}")
+        free = self.free
+        if free:
+            node = free.pop()
+            levels[node] = level
+            self.succ[node] = succ
+            self.ref[node] = 0
+        else:
+            node = len(levels)
+            levels.append(level)
+            self.succ.append(succ)
+            self.ref.append(0)
+        table[succ] = node
+        self.created += 1
+        self.allocated += 1
+        if len(table) > self.table_limit or self.allocated > self.global_limit:
+            self.pressure = True
+        return node
+
+    def sweep(self) -> int:
+        """Free every unreferenced node; returns the number freed."""
+        levels, succs, refs, free, tables = self.level, self.succ, self.ref, self.free, self.tables
+        reclaimed = 0
+        for node in range(len(succs)):
+            succ = succs[node]
+            if succ is None or refs[node] != 0:
+                continue
+            del tables[levels[node]][succ]
+            succs[node] = None
+            free.append(node)
+            reclaimed += 1
+        self.allocated -= reclaimed
+        self.pressure = False
+        return reclaimed
+
+    def nodes(self):
+        """Yield (id, level, succ) for every allocated node."""
+        for node, succ in enumerate(self.succ):
+            if succ is not None:
+                yield node, self.level[node], succ
+
+    def reachable(self, target: int) -> set[int]:
+        """Ids of the nodes reachable from `target`, itself included."""
+        if target < 0:
+            return set()
+        succs = self.succ
+        seen = {target}
+        stack = [target]
+        while stack:
+            for t in succs[stack.pop()][::2]:
+                if t >= 0 and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+
 class NodeStore:
     """Owns all nodes of one engine instance. Single-threaded by design;
     independent stores may be used from different threads freely."""
@@ -85,29 +180,12 @@ class NodeStore:
             raise ValueError("need at least one level")
         self.num_levels = num_levels
         self.weights = weights if weights is not None else WeightTable()
-
-        self.v_level: list[int] = []
-        self.v_succ: list[tuple | None] = []
-        self.v_ref: list[int] = []
-        self._v_free: list[int] = []
-        self.m_level: list[int] = []
-        self.m_succ: list[tuple | None] = []
-        self.m_ref: list[int] = []
-        self._m_free: list[int] = []
-
-        self.ut_v: list[dict] = [dict() for _ in range(num_levels)]
-        self.ut_m: list[dict] = [dict() for _ in range(num_levels)]
-        self.ut_lookups_v = [0] * num_levels
-        self.ut_lookups_m = [0] * num_levels
+        self.vec = _Pool(num_levels)
+        self.mat = _Pool(num_levels)
         # Legacy identity edges I_0 .. I_k by top level (see mdd.identity_chain).
         self.identity_m: list[tuple] = []
 
-        # created_*: unique-table insertions per kind, ever; peak_live: the
-        # most nodes referenced at once, both kinds together
-        self.created_v = 0
-        self.created_m = 0
-        self.allocated_v = 0
-        self.allocated_m = 0
+        # peak_live: the most nodes referenced at once, both kinds together
         self._ref_live = 0
         self.peak_live = 0
         self.gc_runs = 0
@@ -115,10 +193,6 @@ class NodeStore:
         self.ct_misses = 0
         self._mode = MODE_NEW
         self.mode = mode
-
-        self._table_limit = TABLE_GC_THRESHOLD
-        self._global_limit = GLOBAL_GC_THRESHOLD
-        self._pressure = False
 
         if ct_bits:
             self._ct_mask = (1 << ct_bits) - 1
@@ -138,93 +212,49 @@ class NodeStore:
     def mode(self, mode: str) -> None:
         if mode not in (MODE_NEW, MODE_LEGACY):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode != self._mode and self.created_m:
+        if mode != self._mode and self.mat.created:
             raise StoreError(
                 f"store holds {self._mode}-mode matrix nodes, cannot switch to {mode}"
             )
         self._mode = mode
 
-    # -- unique tables -------------------------------------------------
+    # The benchmark harness (perfbench/child.py) reads the pools' counters
+    # under these names; the lookup counts as one-element tuples it sums.
+    @property
+    def created_v(self) -> int:
+        return self.vec.created
 
-    def ut_lookup_v(self, level: int, succ: tuple) -> int:
-        """Canonical vector node for a flat successor tuple (t0, w0, t1,
-        w1); inserts it if absent."""
-        table = self.ut_v[level]
-        self.ut_lookups_v[level] += 1
-        node = table.get(succ)
-        if node is not None:
-            return node
-        levels = self.v_level
-        t0, _, t1, _ = succ
-        for t in (t0, t1):
-            if t >= 0 and levels[t] >= level:
-                raise StoreError(f"successor level {levels[t]} not below node level {level}")
-        free = self._v_free
-        if free:
-            node = free.pop()
-            levels[node] = level
-            self.v_succ[node] = succ
-            self.v_ref[node] = 0
-        else:
-            node = len(levels)
-            levels.append(level)
-            self.v_succ.append(succ)
-            self.v_ref.append(0)
-        table[succ] = node
-        self.created_v += 1
-        self.allocated_v += 1
-        if len(table) > self._table_limit or self.allocated_v > self._global_limit:
-            self._pressure = True
-        return node
+    @property
+    def created_m(self) -> int:
+        return self.mat.created
 
-    def ut_lookup_m(self, level: int, succ: tuple) -> int:
-        """Canonical matrix node for a flat successor tuple (t0, w0, ...,
-        t3, w3); inserts it if absent."""
-        table = self.ut_m[level]
-        self.ut_lookups_m[level] += 1
-        node = table.get(succ)
-        if node is not None:
-            return node
-        levels = self.m_level
-        t0, _, t1, _, t2, _, t3, _ = succ
-        for t in (t0, t1, t2, t3):
-            if t >= 0 and levels[t] >= level:
-                raise StoreError(f"successor level {levels[t]} not below node level {level}")
-        free = self._m_free
-        if free:
-            node = free.pop()
-            levels[node] = level
-            self.m_succ[node] = succ
-            self.m_ref[node] = 0
-        else:
-            node = len(levels)
-            levels.append(level)
-            self.m_succ.append(succ)
-            self.m_ref.append(0)
-        table[succ] = node
-        self.created_m += 1
-        self.allocated_m += 1
-        if len(table) > self._table_limit or self.allocated_m > self._global_limit:
-            self._pressure = True
-        return node
+    @property
+    def ut_lookups_v(self) -> tuple[int]:
+        return (self.vec.lookups,)
+
+    @property
+    def ut_lookups_m(self) -> tuple[int]:
+        return (self.mat.lookups,)
+
+    def pool(self, kind: str) -> _Pool:
+        """The pool of node kind VEC or MAT."""
+        if kind == VEC:
+            return self.vec
+        if kind == MAT:
+            return self.mat
+        raise StoreError(f"unknown node kind {kind!r}")
 
     # -- reference counting --------------------------------------------
-
-    def _arrays(self, kind: str) -> tuple[list, list]:
-        """(refs, succs) of one node kind."""
-        if kind == VEC:
-            return self.v_ref, self.v_succ
-        if kind == MAT:
-            return self.m_ref, self.m_succ
-        raise StoreError(f"unknown node kind {kind!r}")
 
     def inc_ref(self, kind: str, edge: tuple) -> None:
         """Reference the target of `edge`; a node referenced for the first
         time references its children in turn."""
-        refs, succs = self._arrays(kind)
+        pool = self.pool(kind)
         target = edge[0]
         if target < 0:
             return
+        refs = pool.ref
+        succs = pool.succ
         live = self._ref_live
         stack = [target]
         pop = stack.pop
@@ -265,10 +295,12 @@ class NodeStore:
     def dec_ref(self, kind: str, edge: tuple) -> None:
         """Release one reference to the target of `edge`; a node whose
         count drops to zero releases its children in turn."""
-        refs, succs = self._arrays(kind)
+        pool = self.pool(kind)
         target = edge[0]
         if target < 0:
             return
+        refs = pool.ref
+        succs = pool.succ
         live = self._ref_live
         stack = [target]
         pop = stack.pop
@@ -317,44 +349,27 @@ class NodeStore:
         Transitive refcounts make liveness local: a node is reachable
         from a positively-referenced root iff its own count is positive.
         The compute table and the identity table are cleared wholesale
-        since their entries may point at swept nodes.
+        since their entries may point at swept nodes. A sweep that frees
+        under a quarter of the nodes doubles both pools' thresholds.
         """
-        before = self.allocated_v + self.allocated_m
-        reclaimed = 0
-        for kind in (VEC, MAT):
-            if kind == VEC:
-                levels, succs, refs, free, tables = (
-                    self.v_level, self.v_succ, self.v_ref, self._v_free, self.ut_v)
-            else:
-                levels, succs, refs, free, tables = (
-                    self.m_level, self.m_succ, self.m_ref, self._m_free, self.ut_m)
-            for node in range(len(succs)):
-                succ = succs[node]
-                if succ is None or refs[node] != 0:
-                    continue
-                del tables[levels[node]][succ]
-                succs[node] = None
-                free.append(node)
-                reclaimed += 1
-                if kind == VEC:
-                    self.allocated_v -= 1
-                else:
-                    self.allocated_m -= 1
+        pools = (self.vec, self.mat)
+        before = sum(pool.allocated for pool in pools)
+        reclaimed = sum(pool.sweep() for pool in pools)
         if self._ct is not None:
             size = self._ct_mask + 1
             self._ct = [[None] * size for _ in range(_NUM_TAGS)]
         self.identity_m.clear()
         self.gc_runs += 1
-        self._pressure = False
         if not force and before and reclaimed < before * 0.25:
-            self._table_limit *= 2
-            self._global_limit *= 2
+            for pool in pools:
+                pool.table_limit *= 2
+                pool.global_limit *= 2
         return reclaimed
 
     def maybe_collect(self) -> int:
         """Collect iff some table crossed its threshold. Call only at safe
         points: every unreferenced node is swept."""
-        if self._pressure:
+        if self.vec.pressure or self.mat.pressure:
             return self.collect_garbage()
         return 0
 
@@ -376,34 +391,6 @@ class NodeStore:
             self._ct[tag][hash(key) & self._ct_mask] = (key, result)
 
     # -- introspection ---------------------------------------------------
-
-    def reachable(self, kind: str, target: int) -> set[int]:
-        """Ids of the nodes reachable from `target`, itself included."""
-        succs = self._arrays(kind)[1]
-        if target < 0:
-            return set()
-        seen = {target}
-        stack = [target]
-        while stack:
-            for t in succs[stack.pop()][0::2]:
-                if t >= 0 and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-    def vector_nodes(self):
-        """Yield (id, level, succ) for every allocated vector node."""
-        for node, succ in enumerate(self.v_succ):
-            if succ is not None:
-                yield node, self.v_level[node], succ
-
-    def matrix_nodes(self):
-        for node, succ in enumerate(self.m_succ):
-            if succ is not None:
-                yield node, self.m_level[node], succ
-
-    def referenced_live(self) -> int:
-        return self._ref_live
 
     def ct_hit_rate(self) -> float:
         total = self.ct_hits + self.ct_misses

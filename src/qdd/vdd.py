@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .store import NodeStore, TERMINAL, VEC, ZERO_STUB
+from .store import NodeStore, TERMINAL, ZERO_STUB
 from .weights import ONE, ZERO
 
 ZERO_EDGE = (ZERO_STUB, ZERO)
@@ -43,7 +43,7 @@ def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tupl
     if -_NORM_SLACK < n2 - 1.0 < _NORM_SLACK:
         lv = wt.values[lead]
         if lv.imag == 0.0 and lv.real > 0.0:
-            node = store.ut_lookup_v(level, (t0, w0, t1, w1))
+            node = store.vec.lookup(level, (t0, w0, t1, w1))
             return (node, ONE)
     lv = wt.values[lead]
     factor = (math.sqrt(n2) / abs(lv)) * lv
@@ -57,7 +57,7 @@ def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tupl
         return make_vector_node(
             store, level, ZERO_EDGE if w0 == ZERO else e0, ZERO_EDGE if w1 == ZERO else e1
         )
-    node = store.ut_lookup_v(level, (t0, w0, t1, w1))
+    node = store.vec.lookup(level, (t0, w0, t1, w1))
     return (node, fh)
 
 
@@ -84,11 +84,11 @@ def amplitude(store: NodeStore, v: tuple, index: int) -> complex:
     if target == ZERO_STUB or w == ZERO:
         return 0j
     wt = store.weights
-    n = store.v_level[target] + 1
+    n = store.vec.level[target] + 1
     if not 0 <= index < (1 << n):
         raise ValueError(f"index {index} out of range for {n} levels")
     value = wt.values[w]
-    succs = store.v_succ
+    succs = store.vec.succ
     for level in range(n - 1, -1, -1):
         succ = succs[target]
         if (index >> level) & 1:
@@ -107,6 +107,7 @@ def vnorm2(store: NodeStore, v: tuple) -> float:
     if target == ZERO_STUB or w == ZERO:
         return 0.0
     wt = store.weights
+    succs = store.vec.succ
     memo: dict[int, float] = {}
 
     def node_norm2(node: int) -> float:
@@ -115,7 +116,7 @@ def vnorm2(store: NodeStore, v: tuple) -> float:
         cached = memo.get(node)
         if cached is not None:
             return cached
-        t0, w0, t1, w1 = store.v_succ[node]
+        t0, w0, t1, w1 = succs[node]
         total = 0.0
         if w0 != ZERO:
             total += wt.mag2[w0] * node_norm2(t0)
@@ -129,14 +130,14 @@ def vnorm2(store: NodeStore, v: tuple) -> float:
 
 def node_count(store: NodeStore, v: tuple) -> int:
     """Number of distinct nodes reachable from a vector edge."""
-    return len(store.reachable(VEC, v[0]))
+    return len(store.vec.reachable(v[0]))
 
 
 def check_normalization(store: NodeStore, tolerance: float = 4e-13) -> list[int]:
     """Ids of allocated vector nodes violating the local norm invariant."""
     wt = store.weights
     bad = []
-    for node, _level, succ in store.vector_nodes():
+    for node, _level, succ in store.vec.nodes():
         t0, w0, t1, w1 = succ
         if w0 == ZERO and w1 == ZERO:
             bad.append(node)

@@ -123,13 +123,3 @@ class WeightTable:
             return ONE
         v = self.values[a] / self.values[b]
         return self.intern(v.real, v.imag)
-
-    def neg(self, a: int) -> int:
-        if a == ZERO:
-            return a
-        v = -self.values[a]
-        return self.intern(v.real, v.imag)
-
-    def magnitude2(self, a: int) -> float:
-        """|a|^2 as an exact float of the stored value."""
-        return self.mag2[a]

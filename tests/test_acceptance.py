@@ -79,7 +79,7 @@ def test_criterion_2_gate_dd_node_counts():
         for spec, mode, expected in cases:
             store = NodeStore(100, mode=mode)
             make_gate_dd(store, spec, 100)
-            assert store.created_m == expected
+            assert store.mat.created == expected
         assert time.perf_counter() - t0 < 1.0
 
 

@@ -9,7 +9,6 @@ from dense import build_vdd, random_state, read_matrix, read_state, simulate, sp
 from qdd import (
     GateSpec,
     NodeStore,
-    add_matrices,
     add_vectors,
     amplitude,
     make_basis_state,
@@ -18,6 +17,7 @@ from qdd import (
     multiply_mv,
     vnorm2,
 )
+from qdd.arith import _add_m
 from qdd.mdd import ZERO_EDGE_M, identity_node_ids
 from qdd.store import StoreError, TERMINAL
 from qdd.vdd import ZERO_EDGE
@@ -61,9 +61,9 @@ def test_skip_region_memoized_per_vector_node():
     state = make_basis_state(store, n, "0" * n)
     for level in range(n):
         state = multiply_mv(store, make_gate_dd(store, GateSpec(H, level), n), state, n - 1)
-    created = store.created_v
+    created = store.vec.created
     state = multiply_mv(store, make_gate_dd(store, GateSpec(Z, 0), n), state, n - 1)
-    assert store.created_v - created == n
+    assert store.vec.created - created == n
     assert abs(amplitude(store, state, 0) - 2.0**-32) < 1e-22
     assert abs(amplitude(store, state, 2**n - 1) + 2.0**-32) < 1e-22
 
@@ -163,10 +163,10 @@ def test_multiply_mm_bell_unitary(store):
 
 def test_x_squared_is_identity_no_nodes(store):
     x = make_gate_dd(store, GateSpec(X, 4), 12)
-    created = store.created_m
+    created = store.mat.created
     prod = multiply_mm(store, x, x, 11)
     assert prod == (TERMINAL, ONE)
-    assert store.created_m == created
+    assert store.mat.created == created
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -202,8 +202,8 @@ def test_product_with_adjoint_is_identity(n):
 
 def test_add_matrices_zero_neutral(store):
     m = make_gate_dd(store, GateSpec(H, 2), 5)
-    assert add_matrices(store, m, ZERO_EDGE_M, 4) == m
-    assert add_matrices(store, ZERO_EDGE_M, m, 4) == m
+    assert _add_m(store, m, ZERO_EDGE_M) == m
+    assert _add_m(store, ZERO_EDGE_M, m) == m
 
 
 def test_add_matrices_operands_at_different_levels(store):
@@ -211,17 +211,17 @@ def test_add_matrices_operands_at_different_levels(store):
     # the top level and expands on the fly
     h0 = make_gate_dd(store, GateSpec(H, 0), 2)
     half = store.weights.intern(0.5, 0.0)
-    total = add_matrices(store, h0, (TERMINAL, half), 1)
+    total = _add_m(store, h0, (TERMINAL, half))
     dense = np.kron(np.eye(2), np.array([[SQ2, SQ2], [SQ2, -SQ2]])) + 0.5 * np.eye(4)
     assert np.abs(read_matrix(store, total, 2) - dense).max() < 1e-12
 
 
 def test_add_matrices_identity_absorption(store):
     half = store.weights.intern(0.5, 0.0)
-    created = store.created_m
-    total = add_matrices(store, (TERMINAL, half), (TERMINAL, half), 4)
+    created = store.mat.created
+    total = _add_m(store, (TERMINAL, half), (TERMINAL, half))
     assert total == (TERMINAL, ONE)
-    assert store.created_m == created
+    assert store.mat.created == created
 
 
 def test_cnot_from_projector_sum(store):
@@ -238,7 +238,7 @@ def test_cnot_from_projector_sum(store):
     lhs = make_matrix_node(store, 1, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M])
     x0 = make_gate_dd(store, GateSpec(X, 0), 1)
     rhs = make_matrix_node(store, 1, [ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M, x0])
-    cnot = add_matrices(store, lhs, rhs, 1)
+    cnot = _add_m(store, lhs, rhs)
     dense = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     assert np.abs(read_matrix(store, cnot, 2) - dense).max() < 1e-12
     direct = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2)

@@ -30,35 +30,35 @@ def legacy_store():
 
 def test_resembles_identity_true_case(legacy_store):
     e = make_matrix_node(legacy_store, 0, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, (TERMINAL, ONE)])
-    assert resembles_identity([e, ZERO_EDGE_M, ZERO_EDGE_M, e])
+    assert resembles_identity(*e, *ZERO_EDGE_M, *ZERO_EDGE_M, *e)
 
 
 def test_resembles_identity_x_tuple(store):
-    succ = [ZERO_EDGE_M, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE_M]
-    assert not resembles_identity(succ)
+    succ = (*ZERO_EDGE_M, TERMINAL, ONE, TERMINAL, ONE, *ZERO_EDGE_M)
+    assert not resembles_identity(*succ)
 
 
 def test_resembles_identity_distinct_targets(store):
     a = make_matrix_node(store, 0, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M])
     b = make_matrix_node(store, 0, [ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M, (TERMINAL, ONE)])
-    assert not resembles_identity([a, ZERO_EDGE_M, ZERO_EDGE_M, b])
+    assert not resembles_identity(*a, *ZERO_EDGE_M, *ZERO_EDGE_M, *b)
 
 
 def test_make_matrix_node_strips_identity_in_new_mode(store):
     inner = make_matrix_node(store, 2, [ZERO_EDGE_M, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE_M])
-    created = store.created_m
+    created = store.mat.created
     edge = make_matrix_node(store, 5, [inner, ZERO_EDGE_M, ZERO_EDGE_M, inner])
     assert edge == inner
-    assert store.created_m == created
+    assert store.mat.created == created
 
 
 def test_make_matrix_node_keeps_identity_in_legacy_mode(legacy_store):
     inner = make_matrix_node(legacy_store, 2, [ZERO_EDGE_M, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE_M])
-    created = legacy_store.created_m
+    created = legacy_store.mat.created
     edge = make_matrix_node(legacy_store, 5, [inner, ZERO_EDGE_M, ZERO_EDGE_M, inner])
     assert edge != inner
-    assert legacy_store.m_level[edge[0]] == 5
-    assert legacy_store.created_m == created + 1
+    assert legacy_store.mat.level[edge[0]] == 5
+    assert legacy_store.mat.created == created + 1
 
 
 def test_all_zero_successors(store):
@@ -73,48 +73,48 @@ def test_weight_zeroed_by_normalization_gets_stub(store):
     tiny = make_matrix_node(store, 0, [two, (TERMINAL, wt.intern(1.5e-13)), ZERO_EDGE_M, minus_two])
     exact = make_matrix_node(store, 0, [two, ZERO_EDGE_M, ZERO_EDGE_M, minus_two])
     assert tiny == exact
-    assert store.m_succ[tiny[0]][2:4] == (ZERO_STUB, ZERO)
+    assert store.mat.succ[tiny[0]][2:4] == (ZERO_STUB, ZERO)
 
 
 def test_h_gate_new_mode_one_node_weight(store):
     edge = make_gate_dd(store, GateSpec(H, 0), 100)
-    assert store.created_m == 1
+    assert store.mat.created == 1
     assert abs(store.weights.value(edge[1]) - SQ2) < 1e-13
 
 
 def test_h_gate_legacy_mode_100_nodes(legacy_store):
     make_gate_dd(legacy_store, GateSpec(H, 0), 100)
-    assert legacy_store.created_m == 100
+    assert legacy_store.mat.created == 100
 
 
 def test_cnot_new_mode_two_nodes(store):
     edge = make_gate_dd(store, GateSpec(X, 0, ((99, True),)), 100)
-    assert store.created_m == 2
-    assert store.m_level[edge[0]] == 99
+    assert store.mat.created == 2
+    assert store.mat.level[edge[0]] == 99
     # second node is the X at level 0
-    levels = sorted(level for _n, level, _s in store.matrix_nodes())
+    levels = sorted(level for _n, level, _s in store.mat.nodes())
     assert levels == [0, 99]
 
 
 def test_cnot_legacy_mode_199_nodes(legacy_store):
     make_gate_dd(legacy_store, GateSpec(X, 0, ((99, True),)), 100)
-    assert legacy_store.created_m == 199
+    assert legacy_store.mat.created == 199
 
 
 def test_gate_counts_independent_of_n():
     for n in (2, 10, 50):
         store = NodeStore(n)
         make_gate_dd(store, GateSpec(H, 0), n)
-        assert store.created_m == 1
+        assert store.mat.created == 1
         store = NodeStore(n)
         make_gate_dd(store, GateSpec(X, 0, ((n - 1, True),)), n)
-        assert store.created_m == 2
+        assert store.mat.created == 2
 
 
 def test_identity_base_creates_no_nodes(store):
     edge = make_gate_dd(store, GateSpec(I2, 7), 100)
     assert edge == (TERMINAL, ONE)
-    assert store.created_m == 0
+    assert store.mat.created == 0
 
 
 def test_same_gate_twice_same_root(store):
@@ -187,7 +187,7 @@ def test_control_below_target(store):
     edge = make_gate_dd(store, GateSpec(X, 1, ((0, True),)), 2)
     dense = spec_matrix(GateSpec(X, 1, ((0, True),)), 2)
     assert np.abs(read_matrix(store, edge, 2) - dense).max() < 1e-12
-    assert store.created_m == 3  # projectors cannot share with the root
+    assert store.mat.created == 3  # projectors cannot share with the root
 
 
 def test_negative_control(store):
@@ -201,7 +201,7 @@ def test_multi_control_node_count(store):
     # one node per control level plus the base
     spec = GateSpec(X, 0, ((20, True), (40, True), (60, True)))
     make_gate_dd(store, spec, 100)
-    assert store.created_m == 4
+    assert store.mat.created == 4
 
 
 def test_matrix_entry_range_check(store):
@@ -220,24 +220,24 @@ def test_new_mode_store_purity():
 
 def test_legacy_identity_chain_shared(legacy_store):
     identity_chain(legacy_store, 9)
-    created = legacy_store.created_m
+    created = legacy_store.mat.created
     assert created == 10
-    lookups = sum(legacy_store.ut_lookups_m)
+    lookups = legacy_store.mat.lookups
     identity_chain(legacy_store, 9)
-    assert legacy_store.created_m == created
+    assert legacy_store.mat.created == created
     # the second chain is read from the store's identity table
-    assert sum(legacy_store.ut_lookups_m) == lookups
+    assert legacy_store.mat.lookups == lookups
 
 
 def test_legacy_gate_pads_from_identity_table(legacy_store):
     # with I_0 .. I_98 in the table, padding costs no lookups: only the
     # H node at level 99 is looked up (4 * 99 + 1 lookups without it)
     identity_chain(legacy_store, 98)
-    created = legacy_store.created_m
-    lookups = sum(legacy_store.ut_lookups_m)
+    created = legacy_store.mat.created
+    lookups = legacy_store.mat.lookups
     make_gate_dd(legacy_store, GateSpec(H, 99), 100)
-    assert sum(legacy_store.ut_lookups_m) - lookups == 1
-    assert legacy_store.created_m - created == 1
+    assert legacy_store.mat.lookups - lookups == 1
+    assert legacy_store.mat.created - created == 1
 
 
 @pytest.mark.parametrize("n", [5, 100])
@@ -250,9 +250,9 @@ def test_legacy_identity_table_cleared_by_gc(n):
     store.inc_ref(MAT, gate)
     store.dec_ref(MAT, gate)
     assert store.collect_garbage(force=True) == n
-    created = store.created_m
+    created = store.mat.created
     gate = make_gate_dd(store, spec, n)
-    assert store.created_m - created == n
+    assert store.mat.created - created == n
     if n <= 6:
         assert np.abs(read_matrix(store, gate, n) - spec_matrix(spec, n)).max() < 1e-12
     else:  # H on the top level: H[r >> top][c >> top] where the low bits agree
@@ -319,6 +319,6 @@ def test_legacy_padding_matches_level_by_level_reference():
     ]
     for spec in specs:
         ref = _reference_gate_dd(store, spec, n)
-        created = store.created_m
+        created = store.mat.created
         assert make_gate_dd(store, spec, n) == ref, spec
-        assert store.created_m == created, spec
+        assert store.mat.created == created, spec

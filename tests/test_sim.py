@@ -233,29 +233,39 @@ def _qft_on_basis(n, x):
     return circuit
 
 
-# (matrix nodes created, vector nodes created, peak live nodes, final nodes).
-# Node counts are the paper's metric: a change that only makes the engine
-# faster must leave every figure as it is.
+# (matrix nodes created, vector nodes created, peak live nodes, final nodes,
+# node-GC runs). Node counts are the paper's metric: a change that only
+# makes the engine faster must leave every figure as it is. The QFT-9 and
+# QFT-8 unitaries are the cases in which node GC sweeps both pools.
 @pytest.mark.parametrize(
     "case, mode, pinned",
     [
-        ("ghz64", "new", (127, 2144, 192, 127)),
-        ("ghz64", "legacy", (2143, 2144, 255, 127)),
-        ("qft16", "new", (301, 1007, 60, 16)),
-        ("qft16", "legacy", (1814, 1007, 86, 16)),
-        ("qft5-unitary", "new", (1084, 0, 514, 341)),
-        ("qft5-unitary", "legacy", (1133, 0, 521, 341)),
+        ("ghz64", "new", (127, 2144, 192, 127, 0)),
+        ("ghz64", "legacy", (2143, 2144, 255, 127, 0)),
+        ("qft16", "new", (301, 1007, 60, 16, 0)),
+        ("qft16", "legacy", (1814, 1007, 86, 16, 0)),
+        ("qft5-unitary", "new", (1084, 0, 514, 341, 0)),
+        ("qft5-unitary", "legacy", (1133, 0, 521, 341, 0)),
+        ("qft9-unitary", "new", (249930, 0, 131074, 87381, 3)),
+        ("qft8-unitary", "legacy", (112442, 0, 40138, 21845, 1)),
     ],
 )
 def test_node_counts_pinned(case, mode, pinned):
-    if case == "qft5-unitary":
-        store = NodeStore(5)
-        root, report = simulate_unitary(gen_qft(5), mode, store=store)
+    if case.endswith("-unitary"):
+        n = int(case.removeprefix("qft").removesuffix("-unitary"))
+        store = NodeStore(n)
+        root, report = simulate_unitary(gen_qft(n), mode, store=store)
         final = matrix_node_count(store, root)
     else:
         circuit = gen_ghz(64) if case == "ghz64" else _qft_on_basis(16, 0xB38D)
         store = NodeStore(circuit.n)
         root, report = simulate_statevector(circuit, mode, store=store)
         final = vector_node_count(store, root)
-    got = (report.matrix_nodes_created, report.vector_nodes_created, report.peak_live_nodes, final)
+    got = (
+        report.matrix_nodes_created,
+        report.vector_nodes_created,
+        report.peak_live_nodes,
+        final,
+        report.gc_runs,
+    )
     assert got == pinned

@@ -23,26 +23,26 @@ def basis_tuple(store):
 
 def test_ut_lookup_is_canonical(store):
     succ = basis_tuple(store)
-    n1 = store.ut_lookup_v(0, succ)
-    assert store.created_v == 1
-    n2 = store.ut_lookup_v(0, succ)
+    n1 = store.vec.lookup(0, succ)
+    assert store.vec.created == 1
+    n2 = store.vec.lookup(0, succ)
     assert n1 == n2
-    assert store.created_v == 1
+    assert store.vec.created == 1
 
 
 def test_distinct_weights_distinct_nodes(store):
     half = store.weights.intern(0.5, 0.0)
-    a = store.ut_lookup_v(0, (TERMINAL, ONE, TERMINAL, ONE))
-    b = store.ut_lookup_v(0, (TERMINAL, half, TERMINAL, ONE))
+    a = store.vec.lookup(0, (TERMINAL, ONE, TERMINAL, ONE))
+    b = store.vec.lookup(0, (TERMINAL, half, TERMINAL, ONE))
     assert a != b
 
 
 def test_successor_level_must_be_below(store):
-    node = store.ut_lookup_v(3, basis_tuple(store))
+    node = store.vec.lookup(3, basis_tuple(store))
     with pytest.raises(StoreError):
-        store.ut_lookup_v(3, (node, ONE, ZERO_STUB, ZERO))
+        store.vec.lookup(3, (node, ONE, ZERO_STUB, ZERO))
     with pytest.raises(StoreError):
-        store.ut_lookup_v(2, (node, ONE, ZERO_STUB, ZERO))
+        store.vec.lookup(2, (node, ONE, ZERO_STUB, ZERO))
 
 
 def test_unknown_mode_rejected():
@@ -63,20 +63,20 @@ def test_mode_fixed_once_matrix_nodes_exist(store):
 def test_cnot_built_twice_inserts_once(store):
     spec = GateSpec(X, 0, ((7, True),))
     make_gate_dd(store, spec, 8)
-    assert store.created_m == 2
+    assert store.mat.created == 2
     make_gate_dd(store, spec, 8)
-    assert store.created_m == 2
+    assert store.mat.created == 2
 
 
 def test_refcount_lifecycle(store):
     edge = make_basis_state(store, 3, "010")
     store.inc_ref(VEC, edge)
-    assert store.referenced_live() == 3
+    assert store._ref_live == 3
     store.dec_ref(VEC, edge)
-    assert store.referenced_live() == 0
+    assert store._ref_live == 0
     reclaimed = store.collect_garbage(force=True)
     assert reclaimed == 3
-    assert store.allocated_v == 0
+    assert store.vec.allocated == 0
 
 
 def test_shared_child_survives_one_root_release(store):
@@ -87,9 +87,9 @@ def test_shared_child_survives_one_root_release(store):
     store.inc_ref(VEC, r2)
     store.dec_ref(VEC, r1)
     store.collect_garbage(force=True)
-    assert store.v_succ[child[0]] is not None
-    assert store.v_succ[r2[0]] is not None
-    assert store.v_succ[r1[0]] is None
+    assert store.vec.succ[child[0]] is not None
+    assert store.vec.succ[r2[0]] is not None
+    assert store.vec.succ[r1[0]] is None
     assert amplitude(store, r2, 2) == 1.0
 
 
@@ -107,16 +107,16 @@ def test_matrix_refcount_walk_counts_shared_nodes():
     store.inc_ref(VEC, state)
     peak = store.peak_live
     gate = make_gate_dd(store, GateSpec(X, 2, ((5, True),)), 8)
-    nodes = store.reachable(MAT, gate[0])
-    parents = Counter(t for node in nodes for t in store.m_succ[node][0::2] if t >= 0)
+    nodes = store.mat.reachable(gate[0])
+    parents = Counter(t for node in nodes for t in store.mat.succ[node][0::2] if t >= 0)
     assert max(parents.values()) > 1
     store.inc_ref(MAT, gate)
     assert store.peak_live - peak == len(nodes)
     parents[gate[0]] += 1
-    assert {node: store.m_ref[node] for node in nodes} == parents
+    assert {node: store.mat.ref[node] for node in nodes} == parents
     store.dec_ref(MAT, gate)
-    assert not any(store.m_ref)
-    assert store.referenced_live() == peak
+    assert not any(store.mat.ref)
+    assert store._ref_live == peak
     with pytest.raises(StoreError):
         store.dec_ref(MAT, gate)
 
@@ -129,8 +129,8 @@ def test_unknown_node_kind_rejected():
         with pytest.raises(StoreError):
             call("vec", gate)
     with pytest.raises(StoreError):
-        store.reachable("vec", gate[0])
-    assert not any(store.m_ref)
+        store.pool("vec")
+    assert not any(store.mat.ref)
 
 
 def test_gc_on_empty_store(store):
@@ -148,7 +148,7 @@ def test_gc_soundness_roots_resolve_identically(store):
     store.collect_garbage(force=True)
     after = [amplitude(store, state, i) for i in range(16)]
     assert before == after
-    assert store.v_succ[junk[0]] is None
+    assert store.vec.succ[junk[0]] is None
 
 
 def test_ct_insert_then_lookup(store):
@@ -219,13 +219,28 @@ def test_peak_live_tracks_referenced_nodes():
 
 def test_automatic_gc_triggers_on_table_pressure():
     store = NodeStore(4)
-    store._table_limit = 64
+    store.vec.table_limit = 64
     for k in range(80):  # distinct unreferenced level-0 nodes
         w = store.weights.intern(0.001 + k, 0.0)
-        store.ut_lookup_v(0, (TERMINAL, w, ZERO_STUB, ZERO))
+        store.vec.lookup(0, (TERMINAL, w, ZERO_STUB, ZERO))
     assert store.maybe_collect() > 0
     assert store.gc_runs == 1
-    assert store.allocated_v == 0
+    assert store.vec.allocated == 0
+    assert store.maybe_collect() == 0  # pressure cleared
+
+
+def test_automatic_gc_triggers_on_matrix_table_pressure():
+    # the vector pool stays under its limits: the matrix pool alone
+    # must be enough to trigger a sweep
+    store = NodeStore(4)
+    store.mat.table_limit = 64
+    for k in range(80):  # distinct unreferenced level-0 nodes
+        w = store.weights.intern(0.001 + k, 0.0)
+        store.mat.lookup(0, (TERMINAL, w, ZERO_STUB, ZERO, ZERO_STUB, ZERO, TERMINAL, ONE))
+    assert not store.vec.pressure
+    assert store.maybe_collect() == 80
+    assert store.gc_runs == 1
+    assert store.mat.allocated == 0
     assert store.maybe_collect() == 0  # pressure cleared
 
 
@@ -241,8 +256,8 @@ def test_reachability_oracle_matches_refcounts():
         if node in reachable:
             continue
         reachable.add(node)
-        for t in store.v_succ[node][0::2]:
+        for t in store.vec.succ[node][0::2]:
             if t >= 0:
                 stack.append(t)
     for node in reachable:
-        assert store.v_ref[node] >= 1
+        assert store.vec.ref[node] >= 1

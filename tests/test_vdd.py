@@ -21,13 +21,13 @@ def store():
 
 def test_two_zero_edges_collapse(store):
     assert make_vector_node(store, 0, ZERO_EDGE, ZERO_EDGE) == ZERO_EDGE
-    assert store.created_v == 0
+    assert store.vec.created == 0
 
 
 def test_basis_node_shape(store):
     edge = make_vector_node(store, 0, (TERMINAL, ONE), ZERO_EDGE)
     assert edge[1] == ONE
-    t0, w0, t1, w1 = store.v_succ[edge[0]]
+    t0, w0, t1, w1 = store.vec.succ[edge[0]]
     assert (t0, w0) == (TERMINAL, ONE)
     assert w1 == 0
 
@@ -38,7 +38,7 @@ def test_equal_halves_normalize():
     edge = make_vector_node(store, 0, (TERMINAL, ONE), (TERMINAL, ONE))
     wt = store.weights
     assert abs(wt.value(edge[1]) - math.sqrt(2.0)) < 1e-13
-    _, w0, _, w1 = store.v_succ[edge[0]]
+    _, w0, _, w1 = store.vec.succ[edge[0]]
     assert abs(wt.value(w0) - SQ2) < 1e-13
     assert abs(wt.value(w1) - SQ2) < 1e-13
 
@@ -50,7 +50,7 @@ def test_weight_zeroed_by_normalization_gets_stub(store):
     tiny = (TERMINAL, wt.intern(1.5e-13))
     big = (TERMINAL, wt.intern(2.0))
     assert make_vector_node(store, 0, big, tiny) == make_vector_node(store, 0, big, ZERO_EDGE)
-    assert store.v_succ[make_vector_node(store, 0, big, tiny)[0]] == (TERMINAL, ONE, ZERO_STUB, ZERO)
+    assert store.vec.succ[make_vector_node(store, 0, big, tiny)[0]] == (TERMINAL, ONE, ZERO_STUB, ZERO)
     # a tiny first weight also fixed the phase; dropping it must move the
     # lead to the second weight
     neg = (TERMINAL, wt.intern(-2.0))

@@ -80,19 +80,6 @@ def test_div(wt):
         wt.div(a, ZERO)
 
 
-def test_neg(wt):
-    a = wt.intern(0.25, -0.75)
-    na = wt.neg(a)
-    assert wt.value(na) == -wt.value(a)
-    assert wt.neg(ZERO) == ZERO
-
-
-def test_magnitude2(wt):
-    a = wt.intern(3.0, 4.0)
-    assert wt.magnitude2(a) == 25.0
-    assert wt.magnitude2(ZERO) == 0.0
-
-
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 
 
