@@ -7,6 +7,11 @@ is kept available as "legacy" mode for comparison runs; the mode is a
 property of a NodeStore.
 """
 
+import sys
+
+if sys.version_info < (3, 11):
+    raise ImportError("qdd needs Python 3.11+: deep DD recursion must stay off the C stack")
+
 __version__ = "0.1.0"
 
 from .weights import ONE, TOLERANCE, WeightError, WeightTable, ZERO

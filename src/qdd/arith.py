@@ -11,8 +11,8 @@ entries are shared across scaled versions of the same subproblem.
 Addition additionally keys on the relative weight of its (canonically
 ordered) operands. Keys hold nothing else: a store holds one mode, and
 the level of a subproblem follows from its operand nodes. Recursion
-depth equals the number of levels; large instances must run on a deep
-stack (see sim.run_deep).
+depth equals the number of levels; large instances must run under a
+raised recursion limit (see sim.run_deep).
 
 The levels of a matrix-vector product above the matrix root are pure
 identity: there the product only rebuilds the paths of the vector down

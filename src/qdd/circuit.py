@@ -199,9 +199,6 @@ class Circuit:
             specs.extend(gate.to_specs(self.n))
         return specs
 
-    def lowered_gate_count(self) -> int:
-        return len(self.to_specs())
-
 
 # -- parsing ------------------------------------------------------------
 

@@ -14,7 +14,7 @@ import sys
 from .bench import FAMILIES, generate
 from .circuit import QasmError, parse_qasm
 from .sim import REPORT_FIELDS, export_dot, simulate_statevector, simulate_unitary
-from .store import MODE_LEGACY, MODE_NEW, NodeStore, StoreError
+from .store import MAT, MODE_LEGACY, MODE_NEW, NodeStore, StoreError, VEC
 from .vdd import amplitude
 from .weights import WeightError
 
@@ -73,12 +73,12 @@ def _cmd_simulate(args) -> int:
         root, report = simulate_statevector(
             circuit, args.mode, store=store, amplitude_indices=indices
         )
-        dd_kind = "vector"
+        dd_kind = VEC
     else:
         if indices:
             raise SystemExit2("--amplitudes applies to statevector runs only")
         root, report = simulate_unitary(circuit, args.mode, store=store)
-        dd_kind = "matrix"
+        dd_kind = MAT
     print(
         f"{report.benchmark or 'circuit'} n={report.n} |G|={report.gate_count} "
         f"mode={report.mode} kind={report.kind} t={report.wall_time_seconds:.3f}s "

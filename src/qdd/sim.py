@@ -8,10 +8,11 @@ consumed one and the gate, so garbage collection at the per-gate safe
 point only ever sweeps dead intermediates. A run follows the store's
 mode; an explicit mode argument sets it on the store first.
 
-Wall time covers the gate loop only, not parsing or generation. Deep
-circuits run on a widened stack: the arithmetic recursion descends one
-frame chain per level and CPython cannot take that past a few hundred
-levels on a default thread.
+Wall time covers the gate loop only, not parsing or generation. The
+arithmetic recursion descends one frame chain per level, so the gate
+loop runs under a recursion limit raised for that one call (run_deep).
+On Python 3.11+ pure-Python recursion does not use the C stack, so the
+loop runs on the calling thread and no thread is started.
 """
 
 from __future__ import annotations
@@ -29,43 +30,32 @@ from .store import MAT, NodeStore, TERMINAL, VEC, ZERO_STUB
 from .vdd import amplitude, make_basis_state
 from .weights import ONE, TOLERANCE, ZERO
 
-_DEEP_STACK_BYTES = 512 * 1024 * 1024
-_DIRECT_LEVEL_LIMIT = 200
+_limit_lock = threading.Lock()
+_active_runs = 0
+_saved_limit = 0
 
 
 def run_deep(fn, levels: int):
-    """Run fn with recursion headroom for `levels` DD levels."""
-    need = 20000 + 12 * levels
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-    if levels <= _DIRECT_LEVEL_LIMIT:
+    """Call fn on this thread with recursion headroom for `levels` DD levels.
+
+    The recursion limit is process-wide, so it is scoped by a count of
+    active runs over all threads: the first run to enter saves the limit,
+    each raises it as far as it needs, and the last to leave restores it,
+    also when fn raises. A run that left first would otherwise lower the
+    limit under a run still recursing on another thread."""
+    global _active_runs, _saved_limit
+    with _limit_lock:
+        if not _active_runs:
+            _saved_limit = sys.getrecursionlimit()
+        _active_runs += 1
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000 + 12 * levels))
+    try:
         return fn()
-    result: list = []
-    failure: list[BaseException] = []
-
-    def worker():
-        try:
-            result.append(fn())
-        except BaseException as exc:  # re-raised in the caller
-            failure.append(exc)
-
-    old_size = threading.stack_size()
-    try:
-        threading.stack_size(_DEEP_STACK_BYTES)
-    except (ValueError, RuntimeError):
-        pass
-    try:
-        thread = threading.Thread(target=worker, name="qdd-deep")
-        thread.start()
-        thread.join()
     finally:
-        try:
-            threading.stack_size(old_size)
-        except (ValueError, RuntimeError):
-            pass
-    if failure:
-        raise failure[0]
-    return result[0]
+        with _limit_lock:
+            _active_runs -= 1
+            if not _active_runs:
+                sys.setrecursionlimit(_saved_limit)
 
 
 # Report fields in the column order of `qdd bench --csv`.
@@ -196,11 +186,12 @@ def _fmt_weight(v: complex) -> str:
     return f"{v.real:.5g}{sign}{abs(v.imag):.5g}i"
 
 
-def export_dot(store: NodeStore, edge: tuple, kind: str = "vector") -> str:
-    """Render a DD as Graphviz DOT: one rank per level, zero-stubs drawn
-    as filled dots, weights as edge labels, deterministic node names."""
+def export_dot(store: NodeStore, edge: tuple, kind: str = VEC) -> str:
+    """Render a DD of node kind VEC or MAT as Graphviz DOT: one rank per
+    level, zero-stubs drawn as filled dots, weights as edge labels,
+    deterministic node names."""
     wt = store.weights
-    pool = store.vec if kind == "vector" else store.mat
+    pool = store.pool(kind)
     levels = pool.level
 
     lines = ["digraph dd {", "  rankdir=TB;", "  node [fontsize=10];"]

@@ -172,14 +172,13 @@ class NodeStore:
     def __init__(
         self,
         num_levels: int,
-        weights: WeightTable | None = None,
         ct_bits: int | None = 16,
         mode: str = MODE_NEW,
     ) -> None:
         if num_levels < 1:
             raise ValueError("need at least one level")
         self.num_levels = num_levels
-        self.weights = weights if weights is not None else WeightTable()
+        self.weights = WeightTable()
         self.vec = _Pool(num_levels)
         self.mat = _Pool(num_levels)
         # Legacy identity edges I_0 .. I_k by top level (see mdd.identity_chain).
@@ -343,7 +342,7 @@ class NodeStore:
 
     # -- garbage collection ----------------------------------------------
 
-    def collect_garbage(self, force: bool = False) -> int:
+    def collect_garbage(self) -> int:
         """Sweep every unreferenced node; returns the number reclaimed.
 
         Transitive refcounts make liveness local: a node is reachable
@@ -360,7 +359,7 @@ class NodeStore:
             self._ct = [[None] * size for _ in range(_NUM_TAGS)]
         self.identity_m.clear()
         self.gc_runs += 1
-        if not force and before and reclaimed < before * 0.25:
+        if before and reclaimed < before * 0.25:
             for pool in pools:
                 pool.table_limit *= 2
                 pool.global_limit *= 2

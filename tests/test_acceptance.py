@@ -250,7 +250,7 @@ def test_criterion_8_randomized_canonicity_and_gc_soundness():
                 pa = pools[id(with_gc)]
                 pb = pools[id(without_gc)]
                 before = [amplitude(with_gc, e, idx) for e in pa]
-                with_gc.collect_garbage(force=True)
+                with_gc.collect_garbage()
                 after = [amplitude(with_gc, e, idx) for e in pa]
                 assert before == after
                 # and the collected store agrees with the never-collected

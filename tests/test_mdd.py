@@ -249,7 +249,7 @@ def test_legacy_identity_table_cleared_by_gc(n):
     gate = make_gate_dd(store, spec, n)
     store.inc_ref(MAT, gate)
     store.dec_ref(MAT, gate)
-    assert store.collect_garbage(force=True) == n
+    assert store.collect_garbage() == n
     created = store.mat.created
     gate = make_gate_dd(store, spec, n)
     assert store.mat.created - created == n

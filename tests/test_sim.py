@@ -1,18 +1,25 @@
 """Simulation drivers, reports, and DOT export."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from dense import dft_matrix, read_matrix, read_state, simulate, unitary
 from qdd import (
+    MAT,
     NodeStore,
+    StoreError,
+    VEC,
     export_dot,
     gen_ghz,
+    make_basis_state,
     gen_qft,
     gen_w,
     parse_qasm,
+    run_deep,
     simulate_statevector,
     simulate_unitary,
 )
@@ -49,7 +56,7 @@ def test_ghz_legacy_creates_more_nodes():
 
 
 def test_store_with_new_mode_nodes_refuses_legacy_run():
-    from qdd import GateSpec, StoreError, make_gate_dd
+    from qdd import GateSpec, make_gate_dd
 
     store = NodeStore(2)
     make_gate_dd(store, GateSpec((0, 1, 1, 0), 0), 2)
@@ -142,8 +149,70 @@ def test_report_counters_reproducible():
 
 
 def test_run_deep_handles_hundreds_of_levels():
+    limit = sys.getrecursionlimit()
     _state, report = simulate_statevector(gen_ghz(300), "new")
     assert report.matrix_nodes_created == 599
+    assert sys.getrecursionlimit() == limit
+
+
+def _recurse(depth):
+    return 0 if depth == 0 else 1 + _recurse(depth - 1)
+
+
+def test_run_deep_runs_on_the_calling_thread():
+    assert run_deep(threading.get_ident, 5000) == threading.get_ident()
+
+
+def test_run_deep_restores_the_limit_when_fn_raises():
+    limit = sys.getrecursionlimit()
+
+    def fail():
+        raise KeyError("inside")
+
+    with pytest.raises(KeyError, match="inside"):
+        run_deep(fail, limit)  # asks for more than the current limit
+    assert sys.getrecursionlimit() == limit
+
+
+def test_run_deep_limit_outlives_an_overlapping_run_on_another_thread():
+    # A enters first and leaves while B is still inside; B's deep
+    # recursion must still see a raised limit, and the limit must come
+    # back to its starting value once both have left.
+    limit = sys.getrecursionlimit()
+    depth = max(5000, 2 * limit)
+    a_inside, b_inside, a_left = threading.Event(), threading.Event(), threading.Event()
+    outcome = {}
+
+    def run_a():
+        a_inside.set()
+        assert b_inside.wait(30)
+
+    def thread_a():
+        try:
+            run_deep(run_a, 10)
+        finally:
+            a_left.set()
+
+    def run_b():
+        b_inside.set()
+        assert a_left.wait(30)
+        return _recurse(depth)
+
+    def thread_b():
+        assert a_inside.wait(30)
+        try:
+            outcome["depth"] = run_deep(run_b, depth)
+        except BaseException as exc:
+            outcome["error"] = exc
+            b_inside.set()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+    assert outcome == {"depth": depth}
+    assert sys.getrecursionlimit() == limit
 
 
 def test_report_json_schema():
@@ -192,7 +261,7 @@ def bell_store_and_state():
 
 def test_dot_bell_structure():
     store, state = bell_store_and_state()
-    dot = export_dot(store, state, "vector")
+    dot = export_dot(store, state, VEC)
     assert dot.startswith("digraph")
     assert dot.count("rank=same") == 2
     assert dot.count("shape=circle") == 3
@@ -206,22 +275,28 @@ def test_dot_new_mode_cnot_two_ranks():
 
     store = NodeStore(4)
     edge = make_gate_dd(store, GateSpec((0, 1, 1, 0), 0, ((3, True),)), 4)
-    dot = export_dot(store, edge, "matrix")
+    dot = export_dot(store, edge, MAT)
     assert dot.count("rank=same") == 2
     assert dot.count("shape=circle") == 2
 
 
 def test_dot_zero_edge_single_stub():
     store = NodeStore(2)
-    dot = export_dot(store, ZERO_EDGE, "vector")
+    dot = export_dot(store, ZERO_EDGE, VEC)
     assert dot.count("shape=point") == 1
     assert "rank=same" not in dot
+
+
+def test_dot_rejects_an_unknown_kind():
+    store = NodeStore(3)
+    with pytest.raises(StoreError):
+        export_dot(store, make_basis_state(store, 3, "010"), "vec")
 
 
 def test_dot_deterministic():
     store1, state1 = bell_store_and_state()
     store2, state2 = bell_store_and_state()
-    assert export_dot(store1, state1, "vector") == export_dot(store2, state2, "vector")
+    assert export_dot(store1, state1, VEC) == export_dot(store2, state2, VEC)
 
 
 def _qft_on_basis(n, x):

@@ -74,7 +74,7 @@ def test_refcount_lifecycle(store):
     assert store._ref_live == 3
     store.dec_ref(VEC, edge)
     assert store._ref_live == 0
-    reclaimed = store.collect_garbage(force=True)
+    reclaimed = store.collect_garbage()
     assert reclaimed == 3
     assert store.vec.allocated == 0
 
@@ -86,7 +86,7 @@ def test_shared_child_survives_one_root_release(store):
     store.inc_ref(VEC, r1)
     store.inc_ref(VEC, r2)
     store.dec_ref(VEC, r1)
-    store.collect_garbage(force=True)
+    store.collect_garbage()
     assert store.vec.succ[child[0]] is not None
     assert store.vec.succ[r2[0]] is not None
     assert store.vec.succ[r1[0]] is None
@@ -135,7 +135,7 @@ def test_unknown_node_kind_rejected():
 
 def test_gc_on_empty_store(store):
     before = store.gc_runs
-    assert store.collect_garbage(force=True) == 0
+    assert store.collect_garbage() == 0
     assert store.gc_runs == before + 1
 
 
@@ -145,7 +145,7 @@ def test_gc_soundness_roots_resolve_identically(store):
     junk = make_basis_state(store, 4, "1111")  # unreferenced
     assert junk[0] >= 0
     before = [amplitude(store, state, i) for i in range(16)]
-    store.collect_garbage(force=True)
+    store.collect_garbage()
     after = [amplitude(store, state, i) for i in range(16)]
     assert before == after
     assert store.vec.succ[junk[0]] is None
@@ -161,7 +161,7 @@ def test_ct_insert_then_lookup(store):
 def test_ct_cleared_by_gc(store):
     key = (1, 2, 3)
     store.ct_insert(ADD_V, key, (5, ONE))
-    store.collect_garbage(force=True)
+    store.collect_garbage()
     assert store.ct_lookup(ADD_V, key) is None
 
 
