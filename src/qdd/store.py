@@ -39,6 +39,14 @@ compute table and the legacy identity table because their entries may
 name swept nodes. Automatic collection only happens at safe points
 (maybe_collect), never in the middle of a recursion whose intermediate
 nodes are not yet referenced.
+
+The compute table is direct-mapped: one flat slot list per operation tag
+(ADD_V, ADD_M, MUL_MV, MUL_MM), each entry three words at
+i = 3 * (hash(key) & mask): the key tuple, the result target and the
+result weight. A tag's list is made by its first ct_insert, so a store
+holds none until it computes and a statevector run never makes the
+matrix tags' lists; collect_garbage drops them all. A hit builds the
+(target, weight) result edge afresh.
 """
 
 from __future__ import annotations
@@ -60,6 +68,8 @@ ADD_M = 1
 MUL_MV = 2
 MUL_MM = 3
 _NUM_TAGS = 4
+# Largest ct_bits accepted: 2**24 slots, 3 words each, is 384 MB per tag.
+MAX_CT_BITS = 24
 
 # Per-(kind, level) unique-table size that signals collection pressure.
 TABLE_GC_THRESHOLD = 1 << 15
@@ -177,6 +187,10 @@ class NodeStore:
     ) -> None:
         if num_levels < 1:
             raise ValueError("need at least one level")
+        if ct_bits is not None and not (type(ct_bits) is int and 0 <= ct_bits <= MAX_CT_BITS):
+            raise ValueError(
+                f"ct_bits must be None, 0 or an int in 1..{MAX_CT_BITS}, got {ct_bits!r}"
+            )
         self.num_levels = num_levels
         self.weights = WeightTable()
         self.vec = _Pool(num_levels)
@@ -193,14 +207,11 @@ class NodeStore:
         self._mode = MODE_NEW
         self.mode = mode
 
-        if ct_bits:
-            self._ct_mask = (1 << ct_bits) - 1
-            self._ct: list[list] | None = [
-                [None] * (1 << ct_bits) for _ in range(_NUM_TAGS)
-            ]
-        else:
-            self._ct_mask = 0
-            self._ct = None
+        # One flat slot list per tag, made by its first ct_insert; a
+        # store whose table is off (ct_bits None or 0) never makes one.
+        self._ct_mask = (1 << ct_bits) - 1 if ct_bits else 0
+        self._ct_words = 3 << ct_bits if ct_bits else 0
+        self._ct: list[list | None] = [None] * _NUM_TAGS
 
     @property
     def mode(self) -> str:
@@ -347,16 +358,14 @@ class NodeStore:
 
         Transitive refcounts make liveness local: a node is reachable
         from a positively-referenced root iff its own count is positive.
-        The compute table and the identity table are cleared wholesale
+        The compute table's lists and the identity table are dropped
         since their entries may point at swept nodes. A sweep that frees
         under a quarter of the nodes doubles both pools' thresholds.
         """
         pools = (self.vec, self.mat)
         before = sum(pool.allocated for pool in pools)
         reclaimed = sum(pool.sweep() for pool in pools)
-        if self._ct is not None:
-            size = self._ct_mask + 1
-            self._ct = [[None] * size for _ in range(_NUM_TAGS)]
+        self._ct = [None] * _NUM_TAGS
         self.identity_m.clear()
         self.gc_runs += 1
         if before and reclaimed < before * 0.25:
@@ -375,19 +384,27 @@ class NodeStore:
     # -- compute table ---------------------------------------------------
 
     def ct_lookup(self, tag: int, key: tuple):
-        if self._ct is None:
-            self.ct_misses += 1
-            return None
-        entry = self._ct[tag][hash(key) & self._ct_mask]
-        if entry is not None and entry[0] == key:
-            self.ct_hits += 1
-            return entry[1]
+        """The result edge stored under `key` for operation `tag`, or None."""
+        slots = self._ct[tag]
+        if slots is not None:
+            i = 3 * (hash(key) & self._ct_mask)
+            if slots[i] == key:
+                self.ct_hits += 1
+                return (slots[i + 1], slots[i + 2])
         self.ct_misses += 1
         return None
 
-    def ct_insert(self, tag: int, key: tuple, result) -> None:
-        if self._ct is not None:
-            self._ct[tag][hash(key) & self._ct_mask] = (key, result)
+    def ct_insert(self, tag: int, key: tuple, result: tuple) -> None:
+        """Store the result edge of operation `tag` under `key`, evicting
+        whatever held its slot."""
+        slots = self._ct[tag]
+        if slots is None:
+            if not self._ct_words:
+                return
+            slots = self._ct[tag] = [None] * self._ct_words
+        i = 3 * (hash(key) & self._ct_mask)
+        slots[i] = key
+        slots[i + 1], slots[i + 2] = result
 
     # -- introspection ---------------------------------------------------
 

@@ -309,20 +309,22 @@ def _qft_on_basis(n, x):
 
 
 # (matrix nodes created, vector nodes created, peak live nodes, final nodes,
-# node-GC runs). Node counts are the paper's metric: a change that only
-# makes the engine faster must leave every figure as it is. The QFT-9 and
-# QFT-8 unitaries are the cases in which node GC sweeps both pools.
+# node-GC runs, compute-table hits, compute-table misses, vector and matrix
+# unique-table lookups). Node counts are the paper's metric: a change that
+# only makes the engine faster must leave every figure as it is. The table
+# counters fail a layout change that remaps compute-table slots. The QFT-9
+# and QFT-8 unitaries are the cases in which node GC sweeps both pools.
 @pytest.mark.parametrize(
     "case, mode, pinned",
     [
-        ("ghz64", "new", (127, 2144, 192, 127, 0)),
-        ("ghz64", "legacy", (2143, 2144, 255, 127, 0)),
-        ("qft16", "new", (301, 1007, 60, 16, 0)),
-        ("qft16", "legacy", (1814, 1007, 86, 16, 0)),
-        ("qft5-unitary", "new", (1084, 0, 514, 341, 0)),
-        ("qft5-unitary", "legacy", (1133, 0, 521, 341, 0)),
-        ("qft9-unitary", "new", (249930, 0, 131074, 87381, 3)),
-        ("qft8-unitary", "legacy", (112442, 0, 40138, 21845, 1)),
+        ("ghz64", "new", (127, 2144, 192, 127, 0, 0, 189, 2206, 127)),
+        ("ghz64", "legacy", (2143, 2144, 255, 127, 0, 126, 4096, 4160, 2143)),
+        ("qft16", "new", (301, 1007, 60, 16, 0, 563, 1331, 1680, 337)),
+        ("qft16", "legacy", (1814, 1007, 86, 16, 0, 1594, 2270, 2286, 2198)),
+        ("qft5-unitary", "new", (1084, 0, 514, 341, 0, 187, 1049, 0, 1092)),
+        ("qft5-unitary", "legacy", (1133, 0, 521, 341, 0, 929, 1452, 0, 1567)),
+        ("qft9-unitary", "new", (249930, 0, 131074, 87381, 3, 4135, 249825, 0, 249942)),
+        ("qft8-unitary", "legacy", (112442, 0, 40138, 21845, 1, 61868, 170810, 0, 171182)),
     ],
 )
 def test_node_counts_pinned(case, mode, pinned):
@@ -342,5 +344,9 @@ def test_node_counts_pinned(case, mode, pinned):
         report.peak_live_nodes,
         final,
         report.gc_runs,
+        store.ct_hits,
+        store.ct_misses,
+        store.vec.lookups,
+        store.mat.lookups,
     )
     assert got == pinned

@@ -1,11 +1,22 @@
 """Unique-table canonicity, reference counting, GC, and the compute table."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from qdd import GateSpec, NodeStore, make_basis_state, make_gate_dd
-from qdd.store import ADD_V, MAT, StoreError, TERMINAL, VEC, ZERO_STUB
+from qdd.store import (
+    ADD_M,
+    ADD_V,
+    MAT,
+    MUL_MM,
+    MUL_MV,
+    StoreError,
+    TERMINAL,
+    VEC,
+    ZERO_STUB,
+)
 from qdd.vdd import ZERO_EDGE, amplitude, make_vector_node
 from qdd.weights import ONE, ZERO
 
@@ -172,6 +183,47 @@ def test_ct_counters(store):
     store.ct_lookup(ADD_V, key)
     assert store.ct_hits == 1
     assert store.ct_misses == 1
+
+
+@pytest.mark.parametrize("bits", [-1, 2.5, 40, "16"])
+def test_ct_bits_out_of_range_rejected(bits):
+    # checked before any table exists, so 40 raises ValueError, not MemoryError
+    with pytest.raises(ValueError):
+        NodeStore(3, ct_bits=bits)
+
+
+@pytest.mark.parametrize("bits", [None, 0])
+def test_ct_off_stores_nothing(bits):
+    store = NodeStore(3, ct_bits=bits)
+    store.ct_insert(ADD_V, (1, 2, 3), (5, ONE))
+    assert store.ct_lookup(ADD_V, (1, 2, 3)) is None
+    assert (store.ct_hits, store.ct_misses) == (0, 1)
+    assert store._ct == [None] * 4
+
+
+def test_idle_store_holds_no_table():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = NodeStore(64)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert store._ct == [None] * 4
+    assert size < 64 * 1024
+
+
+def test_ct_tables_made_on_first_use_and_dropped_by_gc():
+    from qdd import gen_ghz, simulate_statevector
+
+    store = NodeStore(8)
+    simulate_statevector(gen_ghz(8), "new", store=store)
+    # a statevector run never computes a matrix product or sum
+    assert store._ct[MUL_MM] is None
+    assert store._ct[ADD_M] is None
+    assert len(store._ct[MUL_MV]) == 3 << 16
+    store.collect_garbage()
+    assert store._ct == [None] * 4
 
 
 def test_repeated_multiply_hits_cache_at_top():
