@@ -40,16 +40,24 @@ name swept nodes. Automatic collection only happens at safe points
 (maybe_collect), never in the middle of a recursion whose intermediate
 nodes are not yet referenced.
 
-The compute table is direct-mapped: one flat slot list per operation tag
-(ADD_V, ADD_M, MUL_MV, MUL_MM), each entry three words at
-i = 3 * (hash(key) & mask): the key tuple, the result target and the
-result weight. A tag's list is made by its first ct_insert, so a store
-holds none until it computes and a statevector run never makes the
-matrix tags' lists; collect_garbage drops them all. A hit builds the
-(target, weight) result edge afresh.
+The pools keep the level of each node in an array("i"), so a level
+costs 4 bytes and no int object, however high it is.
+
+The compute table is direct-mapped, one table per operation tag (ADD_V,
+ADD_M, MUL_MV, MUL_MM), slot hash(key) & mask, and an insert evicts
+whatever held its slot. A tag's table is made by its first ct_insert, so
+a store holds none until it computes and a statevector run never makes
+the matrix tags' tables. It starts sparse, a dict from slot index to
+(key, target, weight), and turns into a flat slot list of three words
+per slot (key, target, weight at 3 * slot) once it holds more than 1/16
+of the slots. The slot function is the same in both forms, so the switch
+changes no hit or miss. collect_garbage drops every table. A hit builds
+the (target, weight) result edge afresh.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .weights import WeightTable
 
@@ -70,6 +78,10 @@ MUL_MM = 3
 _NUM_TAGS = 4
 # Largest ct_bits accepted: 2**24 slots, 3 words each, is 384 MB per tag.
 MAX_CT_BITS = 24
+# A sparse tag turns flat once it holds more than 1/2**_CT_SPARSE_SHIFT of
+# the slots: a dict entry and its 3-tuple cost about 100 B against 24 B
+# per flat slot, so the dict is the smaller up to about a quarter full.
+_CT_SPARSE_SHIFT = 4
 
 # Per-(kind, level) unique-table size that signals collection pressure.
 TABLE_GC_THRESHOLD = 1 << 15
@@ -94,7 +106,9 @@ class _Pool:
     )
 
     def __init__(self, num_levels: int) -> None:
-        self.level: list[int] = []
+        # unboxed, so a node keeps no int object for its level; ref stays
+        # a list because the refcount walks read and write it per node
+        self.level = array("i")
         self.succ: list[tuple | None] = []
         self.ref: list[int] = []
         self.free: list[int] = []
@@ -207,11 +221,12 @@ class NodeStore:
         self._mode = MODE_NEW
         self.mode = mode
 
-        # One flat slot list per tag, made by its first ct_insert; a
-        # store whose table is off (ct_bits None or 0) never makes one.
+        # Per tag: None, then a sparse dict, then a flat list (see the
+        # module docstring); with ct_bits None or 0 the mask is 0 and a
+        # tag never gets a table.
         self._ct_mask = (1 << ct_bits) - 1 if ct_bits else 0
-        self._ct_words = 3 << ct_bits if ct_bits else 0
-        self._ct: list[list | None] = [None] * _NUM_TAGS
+        self._ct_sparse_max = (self._ct_mask + 1) >> _CT_SPARSE_SHIFT
+        self._ct: list[dict | list | None] = [None] * _NUM_TAGS
 
     @property
     def mode(self) -> str:
@@ -358,7 +373,7 @@ class NodeStore:
 
         Transitive refcounts make liveness local: a node is reachable
         from a positively-referenced root iff its own count is positive.
-        The compute table's lists and the identity table are dropped
+        The compute tables and the identity table are dropped
         since their entries may point at swept nodes. A sweep that frees
         under a quarter of the nodes doubles both pools' thresholds.
         """
@@ -387,10 +402,17 @@ class NodeStore:
         """The result edge stored under `key` for operation `tag`, or None."""
         slots = self._ct[tag]
         if slots is not None:
-            i = 3 * (hash(key) & self._ct_mask)
-            if slots[i] == key:
-                self.ct_hits += 1
-                return (slots[i + 1], slots[i + 2])
+            i = hash(key) & self._ct_mask
+            if type(slots) is list:
+                i *= 3
+                if slots[i] == key:
+                    self.ct_hits += 1
+                    return (slots[i + 1], slots[i + 2])
+            else:
+                entry = slots.get(i)
+                if entry is not None and entry[0] == key:
+                    self.ct_hits += 1
+                    return entry[1:]
         self.ct_misses += 1
         return None
 
@@ -398,13 +420,21 @@ class NodeStore:
         """Store the result edge of operation `tag` under `key`, evicting
         whatever held its slot."""
         slots = self._ct[tag]
+        i = hash(key) & self._ct_mask
+        if type(slots) is list:
+            i *= 3
+            slots[i] = key
+            slots[i + 1], slots[i + 2] = result
+            return
         if slots is None:
-            if not self._ct_words:
+            if not self._ct_mask:
                 return
-            slots = self._ct[tag] = [None] * self._ct_words
-        i = 3 * (hash(key) & self._ct_mask)
-        slots[i] = key
-        slots[i + 1], slots[i + 2] = result
+            slots = self._ct[tag] = {}
+        slots[i] = (key, *result)
+        if len(slots) > self._ct_sparse_max:
+            flat = self._ct[tag] = [None] * (3 * (self._ct_mask + 1))
+            for j, entry in slots.items():
+                flat[3 * j : 3 * j + 3] = entry
 
     # -- introspection ---------------------------------------------------
 

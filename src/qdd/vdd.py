@@ -84,7 +84,8 @@ def amplitude(store: NodeStore, v: tuple, index: int) -> complex:
     if target == ZERO_STUB or w == ZERO:
         return 0j
     wt = store.weights
-    n = store.vec.level[target] + 1
+    # a terminal edge is a 0-level scalar
+    n = store.vec.level[target] + 1 if target >= 0 else 0
     if not 0 <= index < (1 << n):
         raise ValueError(f"index {index} out of range for {n} levels")
     value = wt.values[w]
@@ -102,30 +103,24 @@ def amplitude(store: NodeStore, v: tuple, index: int) -> complex:
 
 
 def vnorm2(store: NodeStore, v: tuple) -> float:
-    """Squared 2-norm of the represented vector, computed recursively."""
+    """Squared 2-norm of the represented vector, computed bottom-up over
+    its nodes, so its depth costs no recursion."""
     target, w = v
     if target == ZERO_STUB or w == ZERO:
         return 0.0
-    wt = store.weights
-    succs = store.vec.succ
-    memo: dict[int, float] = {}
-
-    def node_norm2(node: int) -> float:
-        if node == TERMINAL:
-            return 1.0
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
+    mag2 = store.weights.mag2
+    pool = store.vec
+    succs = pool.succ
+    norm2 = {TERMINAL: 1.0}
+    for node in sorted(pool.reachable(target), key=pool.level.__getitem__):
         t0, w0, t1, w1 = succs[node]
         total = 0.0
         if w0 != ZERO:
-            total += wt.mag2[w0] * node_norm2(t0)
+            total += mag2[w0] * norm2[t0]
         if w1 != ZERO:
-            total += wt.mag2[w1] * node_norm2(t1)
-        memo[node] = total
-        return total
-
-    return wt.mag2[w] * node_norm2(target)
+            total += mag2[w1] * norm2[t1]
+        norm2[node] = total
+    return mag2[w] * norm2[target]
 
 
 def node_count(store: NodeStore, v: tuple) -> int:

@@ -1,5 +1,6 @@
 """Unique-table canonicity, reference counting, GC, and the compute table."""
 
+import random
 import tracemalloc
 from collections import Counter
 
@@ -217,13 +218,76 @@ def test_ct_tables_made_on_first_use_and_dropped_by_gc():
     from qdd import gen_ghz, simulate_statevector
 
     store = NodeStore(8)
+    inserts = Counter()
+    insert = store.ct_insert
+
+    def counting_insert(tag, key, result):
+        inserts[tag] += 1
+        insert(tag, key, result)
+
+    store.ct_insert = counting_insert
     simulate_statevector(gen_ghz(8), "new", store=store)
     # a statevector run never computes a matrix product or sum
     assert store._ct[MUL_MM] is None
     assert store._ct[ADD_M] is None
-    assert len(store._ct[MUL_MV]) == 3 << 16
+    # a table holds no more entries than it was given, not one per slot
+    assert 0 < len(store._ct[MUL_MV]) <= inserts[MUL_MV]
     store.collect_garbage()
     assert store._ct == [None] * 4
+
+
+def test_ct_sparse_then_flat_matches_direct_mapped_reference():
+    # 64 slots, so the table turns flat once it holds more than 4 entries
+    store = NodeStore(3, ct_bits=6)
+    slots = 64
+    by_slot = {}
+    for a in range(200):
+        for b in range(200):
+            by_slot.setdefault(hash((a, b)) & (slots - 1), []).append((a, b))
+    # keys sharing two slots first, evicting one another while the table is
+    # a dict of at most two entries; then keys spread over every slot
+    crowded = by_slot[0][:3] + by_slot[1][:3]
+    rng = random.Random(5)
+    stream = [rng.choice(crowded) for _ in range(60)]
+    stream += [rng.choice(by_slot[rng.randrange(slots)][:3]) for _ in range(600)]
+    reference = [None] * slots
+    layouts = []
+    for n, key in enumerate(stream):
+        slot = hash(key) & (slots - 1)
+        result = (n, ONE)
+        if reference[slot] is not None and reference[slot][0] == key:
+            assert store.ct_lookup(ADD_V, key) == reference[slot][1]
+            layouts.append((type(store._ct[ADD_V]), "hit"))
+        else:
+            assert store.ct_lookup(ADD_V, key) is None
+            layouts.append((type(store._ct[ADD_V]), "miss"))
+            store.ct_insert(ADD_V, key, result)
+            reference[slot] = (key, result)
+    assert store.ct_hits + store.ct_misses == len(stream)
+    # both outcomes were seen with the table sparse and with it flat
+    assert {(t, o) for t in (dict, list) for o in ("hit", "miss")} <= set(layouts)
+    assert type(store._ct[ADD_V]) is list
+
+
+def test_high_level_costs_no_int_per_node():
+    # a level above 256 computed at run time, as arith's `below = level - 1`
+    # is, must not leave an int object behind per node
+    def traced_bytes_per_node(top, count=4000):
+        store = NodeStore(top)
+        succs = [(TERMINAL, 2 * i, TERMINAL, 2 * i + 1) for i in range(count)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for succ in succs:
+                store.vec.lookup(top - 1, succ)
+            return (tracemalloc.get_traced_memory()[0] - before) / count
+        finally:
+            tracemalloc.stop()
+
+    # the same nodes and table sizes; only the level differs, and a level
+    # below 257 is one of the interpreter's shared small ints
+    extra = traced_bytes_per_node(301) - traced_bytes_per_node(6)
+    assert extra < 8  # a boxed int per node costs 28 B
 
 
 def test_repeated_multiply_hits_cache_at_top():

@@ -89,6 +89,17 @@ def test_amplitude_range_check(store):
         amplitude(store, v, -1)
 
 
+def test_amplitude_of_terminal_edge_is_a_scalar():
+    # a terminal edge has no node to read a level from, so it spans 0 levels
+    store = NodeStore(3)
+    make_basis_state(store, 3, "101")
+    half = store.weights.intern(0.5, 0.0)
+    assert amplitude(store, (TERMINAL, half), 0) == 0.5
+    for index in (1, 5, -1):
+        with pytest.raises(ValueError):
+            amplitude(store, (TERMINAL, ONE), index)
+
+
 def bell_edge(store):
     a = make_basis_state(store, 2, "00")
     b = make_basis_state(store, 2, "11")
@@ -110,6 +121,35 @@ def test_vnorm2(store):
     assert abs(vnorm2(store, v) - 1.0) < 1e-12
     bell = bell_edge(store)
     assert abs(vnorm2(store, bell) - 1.0) < 1e-12
+
+
+def test_vnorm2_deep_state():
+    # 1,500 levels is deeper than the default recursion limit
+    store = NodeStore(1500)
+    v = make_basis_state(store, 1500, "1" * 1500)
+    assert vnorm2(store, v) == 1.0
+
+
+def test_vnorm2_matches_top_down_sum():
+    # the same sums in the same order as a memoized top-down recursion
+    rng = np.random.default_rng(7)
+    store = NodeStore(9)
+    v = build_vdd(store, random_state(9, rng))
+    mag2 = store.weights.mag2
+    memo = {TERMINAL: 1.0}
+
+    def norm2(node):
+        if node not in memo:
+            t0, w0, t1, w1 = store.vec.succ[node]
+            total = 0.0
+            if w0 != ZERO:
+                total += mag2[w0] * norm2(t0)
+            if w1 != ZERO:
+                total += mag2[w1] * norm2(t1)
+            memo[node] = total
+        return memo[node]
+
+    assert vnorm2(store, v) == mag2[v[1]] * norm2(v[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
