@@ -1,9 +1,11 @@
 """Decision-diagram arithmetic under level skipping.
 
 Matrix operands of multiplication and addition may sit below the level
-being processed; a skipped level reads as an identity factor, so on the
-diagonal the operand passes through unchanged and off the diagonal the
-contribution is zero. Vector operands are always full height.
+being processed; a skipped level reads as an identity factor. Every
+routine reads such a level as the node mdd.identity_succ describes, so
+on the diagonal the operand passes through unchanged and off the
+diagonal the zero weight drops the term, by the same tests that drop a
+stored zero quadrant. Vector operands are always full height.
 
 Every routine strips the operand edge weights before consulting the
 compute table and multiplies them back into the result, so cached
@@ -18,15 +20,16 @@ The levels of a matrix-vector product above the matrix root are pure
 identity: there the product only rebuilds the paths of the vector down
 to the matrix root. That region is memoized per call, keyed by vector
 node, and never touches the compute table; the table is consulted only
-at and below the matrix root. At a matrix node the product is written
-out per quadrant: row i of the result is u(2i)*v0 + u(2i+1)*v1, and the
-four products and two sums run in that fixed order, which fixes the
-order in which nodes and weights are created.
+at and below the matrix root. There the product is written out per
+quadrant, at a skipped level as at a matrix node: row i of the result
+is u(2i)*v0 + u(2i+1)*v1, and the four products and two sums run in
+that fixed order, which fixes the order in which nodes and weights are
+created.
 """
 
 from __future__ import annotations
 
-from .mdd import ZERO_EDGE_M, make_matrix_node
+from .mdd import ZERO_EDGE_M, identity_succ, make_matrix_node
 from .store import ADD_M, ADD_V, MUL_MM, MUL_MV, NodeStore, StoreError, TERMINAL
 from .vdd import ZERO_EDGE, make_vector_node
 from .weights import ONE, ZERO
@@ -106,36 +109,33 @@ def _mul_mv(store, ut, uw, vt, vw, level):
     else:
         v0t, v0w, v1t, v1w = store.vec.succ[vt]
         below = level - 1
-        if store.mat.level[ut] == level:
-            # row i is u(2i)*v0 + u(2i+1)*v1; rows and terms in this order
-            u0t, u0w, u1t, u1w, u2t, u2w, u3t, u3w = store.mat.succ[ut]
-            e0 = e1 = ZERO_EDGE
-            if u0w != ZERO and v0w != ZERO:
-                e0 = _mul_mv(store, u0t, u0w, v0t, v0w, below)
-            if u1w != ZERO and v1w != ZERO:
-                m = _mul_mv(store, u1t, u1w, v1t, v1w, below)
-                if e0[1] == ZERO:
-                    e0 = m
-                elif m[1] != ZERO:
-                    e0 = _add_v(store, e0, m, below)
-            if u2w != ZERO and v0w != ZERO:
-                e1 = _mul_mv(store, u2t, u2w, v0t, v0w, below)
-            if u3w != ZERO and v1w != ZERO:
-                m = _mul_mv(store, u3t, u3w, v1t, v1w, below)
-                if e1[1] == ZERO:
-                    e1 = m
-                elif m[1] != ZERO:
-                    e1 = _add_v(store, e1, m, below)
-            r = make_vector_node(store, level, e0, e1)
+        skipped = store.mat.level[ut] < level
+        # row i is u(2i)*v0 + u(2i+1)*v1; rows and terms in this order
+        u0t, u0w, u1t, u1w, u2t, u2w, u3t, u3w = (
+            identity_succ(ut) if skipped else store.mat.succ[ut]
+        )
+        e0 = e1 = ZERO_EDGE
+        if u0w != ZERO and v0w != ZERO:
+            e0 = _mul_mv(store, u0t, u0w, v0t, v0w, below)
+        if u1w != ZERO and v1w != ZERO:
+            m = _mul_mv(store, u1t, u1w, v1t, v1w, below)
+            if e0[1] == ZERO:
+                e0 = m
+            elif m[1] != ZERO:
+                e0 = _add_v(store, e0, m, below)
+        if u2w != ZERO and v0w != ZERO:
+            e1 = _mul_mv(store, u2t, u2w, v0t, v0w, below)
+        if u3w != ZERO and v1w != ZERO:
+            m = _mul_mv(store, u3t, u3w, v1t, v1w, below)
+            if e1[1] == ZERO:
+                e1 = m
+            elif m[1] != ZERO:
+                e1 = _add_v(store, e1, m, below)
+        if skipped and e0[0] == v0t and e0[1] == v0w and e1[0] == v1t and e1[1] == v1w:
+            # children untouched: the stored node is already the result
+            r = (vt, ONE)
         else:
-            # skipped matrix level: identity on the diagonal, no additions
-            e0 = _mul_mv(store, ut, ONE, v0t, v0w, below)
-            e1 = _mul_mv(store, ut, ONE, v1t, v1w, below)
-            if e0[0] == v0t and e0[1] == v0w and e1[0] == v1t and e1[1] == v1w:
-                # children untouched: the stored node is already the result
-                r = (vt, ONE)
-            else:
-                r = make_vector_node(store, level, e0, e1)
+            r = make_vector_node(store, level, e0, e1)
         store.ct_insert(MUL_MV, key, r)
     rw = r[1]
     if rw == ZERO:
@@ -218,28 +218,18 @@ def _mul_mm(store, at, aw, bt, bw):
         rt, rw = hit
         w = wt.mul(wt.mul(aw, bw), rw)
         return ZERO_EDGE_M if w == ZERO else (rt, w)
-    asucc = store.mat.succ[at] if la == level else None
-    bsucc = store.mat.succ[bt] if lb == level else None
+    asucc = store.mat.succ[at] if la == level else identity_succ(at)
+    bsucc = store.mat.succ[bt] if lb == level else identity_succ(bt)
     edges = [ZERO_EDGE_M] * 4
     for i in (0, 1):
         for j in (0, 1):
-            if asucc is None:
-                if i != j:
-                    continue
-                eat, eaw = at, ONE
-            else:
-                eat, eaw = asucc[4 * i + 2 * j], asucc[4 * i + 2 * j + 1]
-                if eaw == ZERO:
-                    continue
+            eat, eaw = asucc[4 * i + 2 * j], asucc[4 * i + 2 * j + 1]
+            if eaw == ZERO:
+                continue
             for k in (0, 1):
-                if bsucc is None:
-                    if j != k:
-                        continue
-                    ebt, ebw = bt, ONE
-                else:
-                    ebt, ebw = bsucc[4 * j + 2 * k], bsucc[4 * j + 2 * k + 1]
-                    if ebw == ZERO:
-                        continue
+                ebt, ebw = bsucc[4 * j + 2 * k], bsucc[4 * j + 2 * k + 1]
+                if ebw == ZERO:
+                    continue
                 m = _mul_mm(store, eat, eaw, ebt, ebw)
                 if m[1] != ZERO:
                     idx = 2 * i + k
@@ -276,22 +266,15 @@ def _add_m(store, a, b):
         rt, rw = hit
         w = wt.mul(aw, rw)
         return ZERO_EDGE_M if w == ZERO else (rt, w)
-    asucc = store.mat.succ[at] if la == level else None
-    bsucc = store.mat.succ[bt] if lb == level else None
+    asucc = store.mat.succ[at] if la == level else identity_succ(at)
+    bsucc = store.mat.succ[bt] if lb == level else identity_succ(bt)
     edges = []
-    for idx in range(4):
-        diag = idx in (0, 3)
-        if asucc is None:
-            ea = (at, ONE) if diag else ZERO_EDGE_M
-        else:
-            ea = (asucc[2 * idx], asucc[2 * idx + 1])
-        if bsucc is None:
-            eb = (bt, rel) if diag else ZERO_EDGE_M
-        else:
-            ebw = bsucc[2 * idx + 1]
-            if ebw != ZERO:
-                ebw = wt.mul(rel, ebw)
-            eb = (bsucc[2 * idx], ebw) if ebw != ZERO else ZERO_EDGE_M
+    for j in (0, 2, 4, 6):
+        ea = (asucc[j], asucc[j + 1])
+        ebw = bsucc[j + 1]
+        if ebw != ZERO:
+            ebw = wt.mul(rel, ebw)
+        eb = (bsucc[j], ebw) if ebw != ZERO else ZERO_EDGE_M
         edges.append(_add_m(store, ea, eb))
     r = make_matrix_node(store, level, edges)
     store.ct_insert(ADD_M, key, r)

@@ -108,8 +108,8 @@ def _cmd_compare(args) -> int:
     if n <= 16:
         indices = range(1 << n)
     else:
-        step = (1 << n) // 4096
-        indices = range(0, 1 << n, step)
+        # 4,096 evenly spaced indices, both ends included
+        indices = [i * ((1 << n) - 1) // 4095 for i in range(4096)]
     deviation = 0.0
     for i in indices:
         a = amplitude(runs[MODE_NEW][0], runs[MODE_NEW][1], i)

@@ -11,10 +11,14 @@ A "legacy" store holds the conventional full-height representation in
 which every gate is padded with explicit identity nodes. The identity
 chains I_0 .. I_k that padding reads are kept in the store's identity
 table (NodeStore.identity_m), so a legacy gate looks up only its own
-nodes, not the identity structure below them, in the unique table. A
-padded level [e, 0, 0, e] with e = (t, w) is already normalized: it is
-written straight to the unique table as (node [t, 1, 0, 0, 0, 0, t, 1], w),
-the edge make_matrix_node returns for it.
+nodes, not the identity structure below them, in the unique table.
+
+identity_succ(t) is the one reading of a level that an edge to t skips:
+the flat successors [t*1, 0, 0, t*1]. Every routine that expands a
+skipped level (the arithmetic, matrix_entry) reads it, and legacy
+padding writes it: a padded level [e, 0, 0, e] with e = (t, w) is
+already normalized, so it goes straight to the unique table as
+(node identity_succ(t), w), the edge make_matrix_node returns for it.
 
 Stored nodes are normalized by the first successor weight of maximal
 magnitude, folded into the incoming edge. That keeps identity-shaped
@@ -32,6 +36,7 @@ against dense oracles in the test suite.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .store import MODE_LEGACY, NodeStore, TERMINAL, ZERO_STUB
@@ -77,6 +82,8 @@ class GateSpec:
             if level in seen:
                 raise ValueError(f"qubit level {level} used twice in one gate")
             seen.add(level)
+        if not all(cmath.isfinite(u) for u in self.base):
+            raise ValueError("gate base has a non-finite entry")
         u00, u01, u10, u11 = self.base
         if (
             abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0) > _UNITARY_TOL
@@ -84,6 +91,12 @@ class GateSpec:
             or abs(u00.conjugate() * u01 + u10.conjugate() * u11) > _UNITARY_TOL
         ):
             raise ValueError("gate base is not unitary")
+
+
+def identity_succ(t: int) -> tuple:
+    """Flat successors (t0, w0, ..., t3, w3) of an identity level over
+    target t: what a level reads as when a matrix edge to t skips it."""
+    return (t, ONE, ZERO_STUB, ZERO, ZERO_STUB, ZERO, t, ONE)
 
 
 def resembles_identity(t0, w0, t1, w1, t2, w2, t3, w3) -> bool:
@@ -142,10 +155,8 @@ def identity_chain(store: NodeStore, top_level: int) -> tuple:
         return (TERMINAL, ONE)
     chain = store.identity_m
     while len(chain) <= top_level:
-        edge = chain[-1] if chain else (TERMINAL, ONE)
-        chain.append(
-            make_matrix_node(store, len(chain), (edge, ZERO_EDGE_M, ZERO_EDGE_M, edge))
-        )
+        below = chain[-1][0] if chain else TERMINAL
+        chain.append((store.mat.lookup(len(chain), identity_succ(below)), ONE))
     return chain[top_level]
 
 
@@ -202,8 +213,7 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
                 if t == ident:
                     quads[idx] = (identity_chain(store, level)[0], w)
                 else:
-                    succ = (t, ONE, ZERO_STUB, ZERO, ZERO_STUB, ZERO, t, ONE)
-                    quads[idx] = (store.mat.lookup(level, succ), w)
+                    quads[idx] = (store.mat.lookup(level, identity_succ(t)), w)
 
     edge = make_matrix_node(store, target, tuple(quads))
 
@@ -217,33 +227,29 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
                 succ = (edge, ZERO_EDGE_M, ZERO_EDGE_M, ident)
             edge = make_matrix_node(store, level, succ)
         else:
-            t, w = edge
-            succ = (t, ONE, ZERO_STUB, ZERO, ZERO_STUB, ZERO, t, ONE)
-            edge = (store.mat.lookup(level, succ), w)
+            edge = (store.mat.lookup(level, identity_succ(edge[0])), edge[1])
     return edge
 
 
 def matrix_entry(store: NodeStore, m: tuple, row: int, col: int, n: int) -> complex:
     """Entry (row, col) of the represented 2^n x 2^n operator. Walks the
-    n levels top-down; levels below the current node read as identity."""
+    n levels top-down; levels below the current node read as identity.
+    The root must sit below level n."""
     if not (0 <= row < (1 << n) and 0 <= col < (1 << n)):
         raise ValueError(f"entry ({row}, {col}) out of range for n={n}")
     target, w = m
+    levels = store.mat.level
+    if target >= 0 and levels[target] >= n:
+        raise ValueError(f"matrix rooted at level {levels[target]}, not below n={n}")
     if w == ZERO:
         return 0j
     wt = store.weights
-    levels = store.mat.level
     succs = store.mat.succ
     value = wt.values[w]
     for level in range(n - 1, -1, -1):
-        rb = (row >> level) & 1
-        cb = (col >> level) & 1
-        if target < 0 or levels[target] < level:
-            if rb != cb:
-                return 0j
-            continue
-        succ = succs[target]
-        idx = 2 * (2 * rb + cb)
+        skipped = target < 0 or levels[target] < level
+        succ = identity_succ(target) if skipped else succs[target]
+        idx = 2 * (2 * ((row >> level) & 1) + ((col >> level) & 1))
         target, w = succ[idx], succ[idx + 1]
         if w == ZERO:
             return 0j

@@ -5,10 +5,10 @@ pools of one shape, store.vec and store.mat. A pool holds the per-level
 unique tables, the level, successor tuple and reference count of each
 node, a free list and the node-GC pressure state; node handles are plain
 ints with one id space per pool. One method, lookup(level, succ), finds
-or inserts a node of either kind. The refcount walks take a kind, VEC
-or MAT, and run one loop per arity, so no per-node step dispatches on
-the kind; any other kind raises StoreError. Two sentinel targets live
-below every level:
+or inserts a node of either kind. inc_ref and dec_ref are one refcount
+walk, stepping by +1 or -1; it takes a kind, VEC or MAT, and runs one
+loop per arity, so no per-node step dispatches on the kind; any other
+kind raises StoreError. Two sentinel targets live below every level:
 
     TERMINAL  -- the path end; a matrix edge pointing at it denotes a
                  scaled identity over every level it skips
@@ -274,52 +274,18 @@ class NodeStore:
     def inc_ref(self, kind: str, edge: tuple) -> None:
         """Reference the target of `edge`; a node referenced for the first
         time references its children in turn."""
-        pool = self.pool(kind)
-        target = edge[0]
-        if target < 0:
-            return
-        refs = pool.ref
-        succs = pool.succ
-        live = self._ref_live
-        stack = [target]
-        pop = stack.pop
-        push = stack.append
-        if kind == VEC:
-            while stack:
-                node = pop()
-                r = refs[node] + 1
-                refs[node] = r
-                if r == 1:
-                    live += 1
-                    t0, _, t1, _ = succs[node]
-                    if t0 >= 0:
-                        push(t0)
-                    if t1 >= 0:
-                        push(t1)
-        else:
-            while stack:
-                node = pop()
-                r = refs[node] + 1
-                refs[node] = r
-                if r == 1:
-                    live += 1
-                    t0, _, t1, _, t2, _, t3, _ = succs[node]
-                    if t0 >= 0:
-                        push(t0)
-                    if t1 >= 0:
-                        push(t1)
-                    if t2 >= 0:
-                        push(t2)
-                    if t3 >= 0:
-                        push(t3)
-        # the live count only rises during the walk, so its end is its peak
-        self._ref_live = live
-        if live > self.peak_live:
-            self.peak_live = live
+        self._walk(kind, edge, 1)
 
     def dec_ref(self, kind: str, edge: tuple) -> None:
         """Release one reference to the target of `edge`; a node whose
         count drops to zero releases its children in turn."""
+        self._walk(kind, edge, -1)
+
+    def _walk(self, kind: str, edge: tuple, step: int) -> None:
+        """Add step (+1 or -1) to the count of edge's target. A node whose
+        count reaches 1 going up or 0 going down passes the step on to its
+        children. An underflow stops the walk, and _ref_live keeps the
+        nodes it released before."""
         pool = self.pool(kind)
         target = edge[0]
         if target < 0:
@@ -327,19 +293,20 @@ class NodeStore:
         refs = pool.ref
         succs = pool.succ
         live = self._ref_live
+        passes = 1 if step > 0 else 0
         stack = [target]
         pop = stack.pop
         push = stack.append
         if kind == VEC:
             while stack:
                 node = pop()
-                r = refs[node] - 1
+                r = refs[node] + step
                 if r < 0:
                     self._ref_live = live
                     raise StoreError(f"refcount underflow on {kind}{node}")
                 refs[node] = r
-                if r == 0:
-                    live -= 1
+                if r == passes:
+                    live += step
                     t0, _, t1, _ = succs[node]
                     if t0 >= 0:
                         push(t0)
@@ -348,13 +315,13 @@ class NodeStore:
         else:
             while stack:
                 node = pop()
-                r = refs[node] - 1
+                r = refs[node] + step
                 if r < 0:
                     self._ref_live = live
                     raise StoreError(f"refcount underflow on {kind}{node}")
                 refs[node] = r
-                if r == 0:
-                    live -= 1
+                if r == passes:
+                    live += step
                     t0, _, t1, _, t2, _, t3, _ = succs[node]
                     if t0 >= 0:
                         push(t0)
@@ -365,6 +332,9 @@ class NodeStore:
                     if t3 >= 0:
                         push(t3)
         self._ref_live = live
+        # the live count moves one way per walk, so an up-walk peaks at its end
+        if live > self.peak_live:
+            self.peak_live = live
 
     # -- garbage collection ----------------------------------------------
 

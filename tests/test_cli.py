@@ -2,7 +2,10 @@
 
 import json
 
+import qdd.cli
+from qdd.circuit import Circuit
 from qdd.cli import main
+from qdd.store import MODE_LEGACY
 
 BELL = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n"
 
@@ -49,6 +52,20 @@ def test_compare_agrees(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["max_amplitude_deviation"] <= 1e-10
     assert payload["new"]["matrix_nodes_created"] <= payload["legacy"]["matrix_nodes_created"]
+
+
+def test_compare_above_16_qubits_reads_last_index(monkeypatch):
+    # GHZ without its last CX differs from GHZ only at index 2^n - 1 and
+    # one index that is not a multiple of the sampling step
+    real = qdd.cli.simulate_statevector
+
+    def drop_last_gate_in_legacy(circuit, mode, store=None):
+        if mode == MODE_LEGACY:
+            circuit = Circuit(circuit.n, circuit.gates[:-1], circuit.name)
+        return real(circuit, mode, store=store)
+
+    monkeypatch.setattr(qdd.cli, "simulate_statevector", drop_last_gate_in_legacy)
+    assert main(["compare", "--benchmark", "ghz", "--qubits", "17"]) == 1
 
 
 def test_bench_emits_tables(tmp_path):

@@ -131,6 +131,8 @@ def test_gate_spec_validation():
         GateSpec(X, 99).validate(8)
     with pytest.raises(ValueError):
         GateSpec((1, 0, 0, 2), 0).validate(8)  # not unitary
+    with pytest.raises(ValueError):
+        GateSpec((math.nan, 0, 0, 1), 0).validate(8)  # every unitarity test is False on NaN
 
 
 def test_cnot_matrix_entries(store):
@@ -208,6 +210,10 @@ def test_matrix_entry_range_check(store):
     edge = make_gate_dd(store, GateSpec(X, 0), 2)
     with pytest.raises(ValueError):
         matrix_entry(store, edge, 4, 0, 2)
+    # a root at or above level n would be read as a smaller operator
+    cx = make_gate_dd(store, GateSpec(X, 0, ((9, True),)), 10)
+    with pytest.raises(ValueError):
+        matrix_entry(store, cx, 3, 2, 2)
 
 
 def test_new_mode_store_purity():

@@ -111,6 +111,18 @@ def test_dec_ref_underflow_fails_fast(store):
         store.dec_ref(VEC, edge)
 
 
+def test_dec_ref_underflow_mid_walk_keeps_live_count(store):
+    # the walk fails at child after it has already released r1
+    child = make_vector_node(store, 0, (TERMINAL, ONE), ZERO_EDGE)
+    r1 = make_vector_node(store, 1, child, ZERO_EDGE)
+    store.inc_ref(VEC, r1)
+    store.dec_ref(VEC, child)
+    with pytest.raises(StoreError):
+        store.dec_ref(VEC, r1)
+    assert store._ref_live == 0
+    assert store.vec.ref[r1[0]] == 0 and store.vec.ref[child[0]] == 0
+
+
 def test_matrix_refcount_walk_counts_shared_nodes():
     # a legacy CX shares identity-chain nodes between its quadrants and
     # its control level; each node is live once, however many parents
