@@ -3,16 +3,18 @@
 Wire convention: wire q[0] is the most significant bit of state indices,
 so |q0 q1 ... q_{n-1}> reads left to right, and wire i maps to DD level
 n-1-i (q[0] is the top row of a diagram). Gate.to_specs performs that
-mapping and lowers the few compound gates: swap becomes three cx, ccx
-becomes a doubly-controlled X GateSpec.
+mapping. Each gate is one row of the gate table, swap and mcz included:
+ccx becomes a doubly-controlled X GateSpec, swap becomes cx, its mirror
+and cx again, and mcz controls a Z on its last wire by all the others.
+mcz takes any wire count, so it has no QASM form in this subset.
 
 Gate order in a Circuit is application order: the first gate in the list
 acts first, i.e. it is the rightmost factor of the circuit's operator.
 
 Supported QASM subset: `OPENQASM 2.0;` header, optional includes, one
-qreg, the gate set below, `pi`-expressions in parameters. Classical
-registers and measurements are parsed and dropped with a warning;
-barriers are dropped silently.
+qreg, the gate set below but mcz, `pi`-expressions in parameters, which
+must evaluate to finite numbers. Classical registers and measurements
+are parsed and dropped with a warning; barriers are dropped silently.
 """
 
 from __future__ import annotations
@@ -100,37 +102,34 @@ def _base_p(p):
     return (1, 0, 0, cmath.exp(1j * p[0]))
 
 
-# name -> (controls, params, base builder); compound gates handled apart
+# name -> (controls, params, base builder, wire orders). A gate lowers to
+# one GateSpec per wire order, its wires taken in that order: controls
+# first, the target after them. controls -1 makes every wire but the last
+# a control, for any wire count; such a gate has no QASM form here.
+_ONCE = (slice(None),)
 _GATES = {
-    "x": (0, 0, _base_x),
-    "y": (0, 0, _base_y),
-    "z": (0, 0, _base_z),
-    "h": (0, 0, _base_h),
-    "s": (0, 0, _base_s),
-    "sdg": (0, 0, _base_sdg),
-    "t": (0, 0, _base_t),
-    "tdg": (0, 0, _base_tdg),
-    "rx": (0, 1, _base_rx),
-    "ry": (0, 1, _base_ry),
-    "rz": (0, 1, _base_rz),
-    "p": (0, 1, _base_p),
-    "u1": (0, 1, _base_p),
-    "cx": (1, 0, _base_x),
-    "cz": (1, 0, _base_z),
-    "cp": (1, 1, _base_p),
-    "ccx": (2, 0, _base_x),
+    "x": (0, 0, _base_x, _ONCE),
+    "y": (0, 0, _base_y, _ONCE),
+    "z": (0, 0, _base_z, _ONCE),
+    "h": (0, 0, _base_h, _ONCE),
+    "s": (0, 0, _base_s, _ONCE),
+    "sdg": (0, 0, _base_sdg, _ONCE),
+    "t": (0, 0, _base_t, _ONCE),
+    "tdg": (0, 0, _base_tdg, _ONCE),
+    "rx": (0, 1, _base_rx, _ONCE),
+    "ry": (0, 1, _base_ry, _ONCE),
+    "rz": (0, 1, _base_rz, _ONCE),
+    "p": (0, 1, _base_p, _ONCE),
+    "u1": (0, 1, _base_p, _ONCE),
+    "cx": (1, 0, _base_x, _ONCE),
+    "cz": (1, 0, _base_z, _ONCE),
+    "cp": (1, 1, _base_p, _ONCE),
+    "ccx": (2, 0, _base_x, _ONCE),
+    # cx, its mirror, cx
+    "swap": (1, 0, _base_x, (slice(None), slice(None, None, -1), slice(None))),
+    "mcz": (-1, 0, _base_z, _ONCE),
 }
-# variable control count, Z base on the last wire; not serializable
-_MCZ = "mcz"
-
-
-def _arity(name: str, qubits: int) -> bool:
-    if name == "swap":
-        return qubits == 2
-    if name == _MCZ:
-        return qubits >= 1
-    controls, _params, _ = _GATES[name]
-    return qubits == controls + 1
+_QASM_GATES = frozenset(name for name, row in _GATES.items() if row[0] >= 0)
 
 
 @dataclass(frozen=True)
@@ -144,33 +143,28 @@ class Gate:
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.name != _MCZ and self.name != "swap":
-            if self.name not in _GATES:
-                raise ValueError(f"unsupported gate {self.name!r}")
-            if len(self.params) != _GATES[self.name][1]:
-                raise ValueError(f"{self.name} takes {_GATES[self.name][1]} parameter(s)")
-        if not _arity(self.name, len(self.qubits)):
+        if self.name not in _GATES:
+            raise ValueError(f"unsupported gate {self.name!r}")
+        controls, nparams, _base, _orders = _GATES[self.name]
+        if len(self.params) != nparams:
+            raise ValueError(f"{self.name} takes {nparams} parameter(s)")
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.name} parameter is not finite")
+        if not self.qubits or controls >= 0 and len(self.qubits) != controls + 1:
             raise ValueError(f"wrong operand count for {self.name}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate wire in {self.name}")
 
     def to_specs(self, n: int) -> list[GateSpec]:
-        """Lower onto DD levels (level = n-1-wire)."""
-        lv = [n - 1 - q for q in self.qubits]
-        if self.name == "swap":
-            a, b = lv
-            x = (0, 1, 1, 0)
-            return [
-                GateSpec(x, b, ((a, True),)),
-                GateSpec(x, a, ((b, True),)),
-                GateSpec(x, b, ((a, True),)),
-            ]
-        if self.name == _MCZ:
-            ctrls = tuple((c, True) for c in lv[:-1])
-            return [GateSpec((1, 0, 0, -1), lv[-1], ctrls)]
-        controls, _nparams, base = _GATES[self.name]
-        ctrls = tuple((c, True) for c in lv[:controls])
-        return [GateSpec(base(self.params), lv[controls], ctrls)]
+        """Lower onto DD levels (level = n-1-wire), one spec per wire order."""
+        controls, _nparams, base, orders = _GATES[self.name]
+        u = base(self.params)
+        levels = [n - 1 - q for q in self.qubits]
+        specs = []
+        for order in orders:
+            lv = levels[order]
+            specs.append(GateSpec(u, lv[controls], tuple((c, True) for c in lv[:controls])))
+        return specs
 
 
 @dataclass
@@ -217,32 +211,36 @@ def _tokenize(text: str):
         line = line.split("//", 1)[0]
         pos = 0
         while pos < len(line):
+            # every alternative names a group and consumes a character
             m = _TOKEN_RE.match(line, pos)
-            if m is None or m.end() == m.start():
+            if m is None:
                 stripped = line[pos:].lstrip()
                 if not stripped:
                     break
-                col = pos + (len(line[pos:]) - len(stripped)) + 1
+                col = len(line) - len(stripped) + 1
                 raise QasmSyntaxError(f"unexpected character {stripped[0]!r}", lineno, col)
-            if m.lastgroup is not None:
-                tokens.append((m.group(m.lastgroup), lineno, m.start(m.lastgroup) + 1))
+            tokens.append((m.group(m.lastgroup), lineno, m.start(m.lastgroup) + 1))
             pos = m.end()
     return tokens
 
 
+# statements dropped whole -> what the warning calls them (None: silently)
+_DROPPED = {"include": None, "barrier": None, "creg": "classical register", "measure": "measure"}
+
+
 class _Parser:
+    """Checks grammar, register name and qubit indices; Gate checks the rest."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def _err(self, message: str, syntax: bool = True):
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
-        elif self.tokens:
-            _, line, col = self.tokens[-1]
+    def _err(self, message: str, cls: type[QasmError] = QasmSyntaxError):
+        """Raise cls at the current token, the last one at end of input."""
+        if self.tokens:
+            _, line, col = self.tokens[min(self.pos, len(self.tokens) - 1)]
         else:
             line, col = 1, 1
-        cls = QasmSyntaxError if syntax else QasmSemanticError
         raise cls(message, line, col)
 
     def peek(self) -> str | None:
@@ -307,15 +305,17 @@ class _Parser:
 
         while self.peek() is not None:
             tok = self.peek()
-            if tok == "include":
+            if tok in _DROPPED:
+                if _DROPPED[tok]:
+                    line = self.tokens[self.pos][1]
+                    warnings.warn(f"line {line}: {_DROPPED[tok]} ignored", stacklevel=3)
                 self.skip_statement()
                 continue
             if tok == "OPENQASM":
                 self._err("duplicate OPENQASM header")
             if tok == "qreg":
-                line, col = self.tokens[self.pos][1:]
                 if circuit is not None:
-                    raise QasmSyntaxError("duplicate qreg declaration", line, col)
+                    self._err("duplicate qreg declaration")
                 self.pos += 1
                 qreg_name = self.take()
                 self.expect("[")
@@ -326,32 +326,19 @@ class _Parser:
                 self.expect(";")
                 circuit = Circuit(n=int(size_tok))
                 continue
-            if tok == "creg":
-                line, col = self.tokens[self.pos][1:]
-                warnings.warn(f"line {line}: classical register ignored", stacklevel=3)
-                self.skip_statement()
-                continue
-            if tok == "measure":
-                line, col = self.tokens[self.pos][1:]
-                warnings.warn(f"line {line}: measure ignored", stacklevel=3)
-                self.skip_statement()
-                continue
-            if tok == "barrier":
-                self.skip_statement()
-                continue
             if circuit is None:
                 self._err("gate before qreg declaration")
-            circuit.gates.append(self._parse_gate(circuit, qreg_name))
+            circuit.gates.append(self._parse_gate(circuit.n, qreg_name))
 
         if circuit is None:
             self._err("missing qreg declaration")
         return circuit
 
-    def _parse_gate(self, circuit: Circuit | None, qreg_name: str | None) -> Gate:
-        name_tok, line, col = self.tokens[self.pos]
-        name = name_tok
-        if name not in _GATES and name != "swap":
-            raise QasmSyntaxError(f"unknown gate {name!r}", line, col)
+    def _parse_gate(self, n: int, qreg_name: str) -> Gate:
+        start = self.pos
+        name = self.peek()
+        if name not in _QASM_GATES:
+            self._err(f"unknown gate {name!r}")
         self.pos += 1
         params: list[float] = []
         if self.peek() == "(":
@@ -361,44 +348,30 @@ class _Parser:
                 self.pos += 1
                 params.append(self.parse_angle())
             self.expect(")")
-        n_params = 0 if name == "swap" else _GATES[name][1]
-        if len(params) != n_params:
-            raise QasmSyntaxError(
-                f"{name} takes {n_params} parameter(s), got {len(params)}", line, col
-            )
         qubits: list[int] = []
         while True:
-            _, rline, rcol = (
-                self.tokens[self.pos] if self.pos < len(self.tokens) else (None, line, col)
-            )
-            reg = self.take()
+            reg = self.peek()
             if reg != qreg_name:
-                raise QasmSyntaxError(
-                    f"unknown or broadcast operand {reg!r} (indexed {qreg_name}[k] required)",
-                    rline,
-                    rcol,
-                )
+                self._err(f"expected an operand {qreg_name}[k], got {reg!r}")
+            self.pos += 1
             self.expect("[")
-            _, iline, icol = self.tokens[self.pos] if self.pos < len(self.tokens) else (None, rline, rcol)
-            idx = self.take()
-            if not idx.isdigit():
-                raise QasmSyntaxError(f"expected a qubit index, got {idx!r}", iline, icol)
-            index = int(idx)
-            if circuit is not None and index >= circuit.n:
-                raise QasmSemanticError(
-                    f"qubit index {index} out of range for qreg[{circuit.n}]", iline, icol
-                )
-            qubits.append(index)
+            idx = self.peek()
+            if idx is None or not idx.isdigit():
+                self._err(f"expected a qubit index, got {idx!r}")
+            if int(idx) >= n:
+                self._err(f"qubit index {int(idx)} out of range for qreg[{n}]", QasmSemanticError)
+            qubits.append(int(idx))
+            self.pos += 1
             self.expect("]")
-            if self.peek() == ",":
-                self.pos += 1
-                continue
-            break
+            if self.peek() != ",":
+                break
+            self.pos += 1
         self.expect(";")
         try:
             return Gate(name, tuple(qubits), tuple(params))
         except ValueError as exc:
-            raise QasmSyntaxError(str(exc), line, col) from exc
+            self.pos = start
+            self._err(str(exc))
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -410,10 +383,8 @@ def circuit_to_qasm(circuit: Circuit) -> str:
     """Serialize a Circuit; parse_qasm(circuit_to_qasm(c)) == c gate-for-gate."""
     lines = ["OPENQASM 2.0;", f"qreg q[{circuit.n}];"]
     for gate in circuit.gates:
-        if gate.name == _MCZ:
-            raise SerializationError("multi-controlled z has no QASM form in this subset")
-        if gate.name not in _GATES and gate.name != "swap":
-            raise SerializationError(f"gate {gate.name!r} has no QASM form")
+        if gate.name not in _QASM_GATES:
+            raise SerializationError(f"gate {gate.name!r} has no QASM form in this subset")
         params = f"({','.join(repr(p) for p in gate.params)})" if gate.params else ""
         operands = ",".join(f"q[{q}]" for q in gate.qubits)
         lines.append(f"{gate.name}{params} {operands};")

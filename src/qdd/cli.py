@@ -19,19 +19,17 @@ from .vdd import amplitude
 from .weights import WeightError
 
 
+def _generate(args, n: int) -> "Circuit":
+    return generate(
+        args.benchmark, n, secret=args.secret, phase_k=args.phase_k,
+        marked=args.marked, mcz=args.mcz,
+    )
+
+
 def _add_circuit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="OpenQASM 2 file to simulate")
     p.add_argument("--benchmark", choices=FAMILIES, help="generated circuit family")
     p.add_argument("--qubits", type=int, help="qubit count for --benchmark")
-    p.add_argument("--secret", help="bv: hidden bitstring (length n-1)")
-    p.add_argument("--phase-k", type=int, dest="phase_k", help="qpe: eigenphase numerator k")
-    p.add_argument("--marked", help="grover: marked bitstring (length n)")
-    p.add_argument(
-        "--mcz",
-        choices=("native", "lowered"),
-        default="native",
-        help="grover: multi-controlled z realization",
-    )
 
 
 def _load_circuit(args) -> "Circuit":
@@ -44,14 +42,7 @@ def _load_circuit(args) -> "Circuit":
         return circuit
     if args.qubits is None:
         raise SystemExit2("--benchmark requires --qubits")
-    return generate(
-        args.benchmark,
-        args.qubits,
-        secret=args.secret,
-        phase_k=args.phase_k,
-        marked=args.marked,
-        mcz=args.mcz,
-    )
+    return _generate(args, args.qubits)
 
 
 class SystemExit2(Exception):
@@ -147,10 +138,7 @@ def _cmd_bench(args) -> int:
     kinds = ["statevector", "unitary"] if args.kind == "both" else [args.kind]
     rows = []
     for n in sizes:
-        circuit = generate(
-            args.benchmark, n, secret=args.secret, phase_k=args.phase_k,
-            marked=args.marked, mcz=args.mcz,
-        )
+        circuit = _generate(args, n)
         for kind in kinds:
             for mode in modes:
                 run = simulate_statevector if kind == "statevector" else simulate_unitary
@@ -179,8 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decision-diagram quantum circuit simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options of the generated families, taken by every subcommand
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--secret", help="bv: hidden bitstring (length n-1)")
+    family.add_argument("--phase-k", type=int, dest="phase_k", help="qpe: eigenphase numerator k")
+    family.add_argument("--marked", help="grover: marked bitstring (length n)")
+    family.add_argument(
+        "--mcz",
+        choices=("native", "lowered"),
+        default="native",
+        help="grover: multi-controlled z realization",
+    )
 
-    sim = sub.add_parser("simulate", help="run one circuit and report statistics")
+    sim = sub.add_parser("simulate", parents=[family], help="run one circuit and report statistics")
     _add_circuit_args(sim)
     sim.add_argument("--kind", choices=("statevector", "unitary"), default="statevector")
     sim.add_argument("--mode", choices=(MODE_NEW, MODE_LEGACY), default=MODE_NEW)
@@ -189,22 +188,20 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--amplitudes", help="comma-separated state indices to print")
     sim.set_defaults(func=_cmd_simulate)
 
-    cmp_ = sub.add_parser("compare", help="run both modes and check they agree")
+    cmp_ = sub.add_parser("compare", parents=[family], help="run both modes and check they agree")
     _add_circuit_args(cmp_)
     cmp_.add_argument("--tolerance", type=float, default=1e-10)
     cmp_.add_argument("--json", help="write the side-by-side report here")
     cmp_.set_defaults(func=_cmd_compare)
 
-    bench = sub.add_parser("bench", help="sweep qubit sizes, emit a results table")
+    bench = sub.add_parser(
+        "bench", parents=[family], help="sweep qubit sizes, emit a results table"
+    )
     bench.add_argument("--benchmark", choices=FAMILIES, required=True)
     bench.add_argument("--qubits", required=True, help="comma-separated sizes")
     bench.add_argument("--kind", choices=("statevector", "unitary", "both"),
                        default="statevector")
     bench.add_argument("--modes", default="new,legacy")
-    bench.add_argument("--secret")
-    bench.add_argument("--phase-k", type=int, dest="phase_k")
-    bench.add_argument("--marked")
-    bench.add_argument("--mcz", choices=("native", "lowered"), default="native")
     bench.add_argument("--csv", help="write rows as CSV here")
     bench.add_argument("--json", help="write rows as JSON here")
     bench.set_defaults(func=_cmd_bench)

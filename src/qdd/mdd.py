@@ -51,8 +51,8 @@ _UNITARY_TOL = 1e-10
 class GateSpec:
     """A 2x2 base unitary, its target level, and optional control levels.
 
-    controls holds (level, positive) pairs, kept sorted; plain ints are
-    accepted and read as positive controls.
+    base is flat (u00, u01, u10, u11); controls holds (level, positive)
+    pairs, kept sorted.
     """
 
     base: tuple[complex, complex, complex, complex]
@@ -60,17 +60,9 @@ class GateSpec:
     controls: tuple[tuple[int, bool], ...] = ()
 
     def __post_init__(self):
-        base = self.base
-        if len(base) == 2:  # accept 2x2 nested form
-            base = (base[0][0], base[0][1], base[1][0], base[1][1])
-        object.__setattr__(self, "base", tuple(complex(u) for u in base))
-        ctrls = []
-        for c in self.controls:
-            if isinstance(c, tuple):
-                ctrls.append((int(c[0]), bool(c[1])))
-            else:
-                ctrls.append((int(c), True))
-        object.__setattr__(self, "controls", tuple(sorted(ctrls)))
+        object.__setattr__(self, "base", tuple(complex(u) for u in self.base))
+        ctrls = sorted((int(level), bool(pos)) for level, pos in self.controls)
+        object.__setattr__(self, "controls", tuple(ctrls))
 
     def validate(self, n: int) -> None:
         if not 0 <= self.target < n:
@@ -151,6 +143,7 @@ def identity_chain(store: NodeStore, top_level: int) -> tuple:
     """Identity operator over levels [0, top_level]. The skipped (terminal)
     edge in new mode; an explicit node chain in legacy mode, read from the
     store's identity table and extended from its highest entry if short."""
+    store.require_levels(top_level + 1)
     if store.mode != MODE_LEGACY or top_level < 0:
         return (TERMINAL, ONE)
     chain = store.identity_m
@@ -169,6 +162,7 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
     returns a full-height DD rooted at n-1.
     """
     spec.validate(n)
+    store.require_levels(n)
     wt = store.weights
     legacy = store.mode == MODE_LEGACY
     below = {lvl: pos for lvl, pos in spec.controls if lvl < spec.target}

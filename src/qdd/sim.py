@@ -105,8 +105,8 @@ def _simulate(
         spec.validate(n)
     if store is None:
         store = NodeStore(n)
-    elif store.num_levels < n:
-        raise ValueError(f"store has {store.num_levels} levels, circuit needs {n}")
+    else:
+        store.require_levels(n)
     if mode is not None:
         store.mode = mode
     vector = kind == "statevector"

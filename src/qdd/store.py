@@ -228,6 +228,11 @@ class NodeStore:
         self._ct_sparse_max = (self._ct_mask + 1) >> _CT_SPARSE_SHIFT
         self._ct: list[dict | list | None] = [None] * _NUM_TAGS
 
+    def require_levels(self, n: int) -> None:
+        """Raise ValueError unless the store has at least n levels."""
+        if self.num_levels < n:
+            raise ValueError(f"store has {self.num_levels} levels, {n} needed")
+
     @property
     def mode(self) -> str:
         """MODE_NEW or MODE_LEGACY; see the module docstring."""

@@ -65,6 +65,7 @@ def make_basis_state(store: NodeStore, n: int, bits: str) -> tuple:
     """DD of the computational basis state |bits>, bits[0] topmost (MSB)."""
     if n < 1 or len(bits) != n:
         raise ValueError(f"need a length-{n} bitstring, got {bits!r}")
+    store.require_levels(n)
     edge = (TERMINAL, ONE)
     for level in range(n):
         bit = bits[n - 1 - level]

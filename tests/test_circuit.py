@@ -10,6 +10,7 @@ from dense import simulate
 from qdd import (
     Circuit,
     Gate,
+    GateSpec,
     QasmError,
     QasmSemanticError,
     QasmSyntaxError,
@@ -65,6 +66,7 @@ def test_out_of_range_index_is_semantic_error():
     with pytest.raises(QasmSemanticError) as err:
         parse_qasm("OPENQASM 2.0;\nqreg q[4];\nh q[5];\n")
     assert err.value.line == 3
+    assert err.value.col == 5
 
 
 def test_duplicate_qreg_rejected():
@@ -77,6 +79,22 @@ def test_unknown_gate_rejected_with_position():
         parse_qasm("OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n")
     assert err.value.line == 3
     assert err.value.col == 1
+
+
+@pytest.mark.parametrize(
+    "line, col",
+    [
+        ("mcz q[0],q[1];", 1),  # a table row, but with no QASM form
+        ("cp q[0],q[1];", 1),  # missing parameter
+        ("h(pi) q[0];", 1),  # extra parameter
+        ("x q[0];  rz(1e400) q[1];", 10),  # angle overflows to inf
+        ("rz(1e400*0) q[0];", 1),  # inf * 0 is nan
+    ],
+)
+def test_gate_errors_reported_at_gate_name(line, col):
+    with pytest.raises(QasmSyntaxError) as err:
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{line}\n")
+    assert (err.value.line, err.value.col) == (3, col)
 
 
 def test_missing_header_rejected():
@@ -111,6 +129,12 @@ def test_swap_kept_as_gate_but_lowered_to_specs():
     specs = c.to_specs()
     assert len(specs) == 3
     assert all(spec.base == (0, 1, 1, 0) for spec in specs)
+    # cx from wire 0 (level 1) onto wire 1 (level 0), its mirror, cx again
+    assert [(spec.target, spec.controls) for spec in specs] == [
+        (0, ((1, True),)),
+        (1, ((0, True),)),
+        (0, ((1, True),)),
+    ]
     # dense check: swap exchanges |01> and |10>
     state = np.zeros(4, dtype=complex)
     state[1] = 1.0
@@ -169,6 +193,13 @@ def test_native_mcz_not_serializable():
         circuit_to_qasm(c)
 
 
+def test_mcz_lowered_to_z_under_every_other_wire():
+    assert Gate("mcz", (2, 0, 1)).to_specs(3) == [GateSpec((1, 0, 0, -1), 1, ((0, True), (2, True)))]
+    assert Gate("mcz", (1,)).to_specs(2) == [GateSpec((1, 0, 0, -1), 0)]
+    with pytest.raises(ValueError):
+        Gate("mcz", ())
+
+
 def test_gate_validation():
     with pytest.raises(ValueError):
         Gate("h", (0, 1))  # wrong arity
@@ -178,6 +209,9 @@ def test_gate_validation():
         Gate("nope", (0,))
     with pytest.raises(ValueError):
         Gate("rz", (0,))  # missing parameter
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            Gate("rz", (0,), (bad,))
 
 
 def test_circuit_add_range_check():

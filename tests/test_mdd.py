@@ -135,6 +135,19 @@ def test_gate_spec_validation():
         GateSpec((math.nan, 0, 0, 1), 0).validate(8)  # every unitarity test is False on NaN
 
 
+@pytest.mark.parametrize(
+    "build, needed",
+    [
+        (lambda: make_gate_dd(NodeStore(4), GateSpec(X, 6), 8), 8),
+        (lambda: identity_chain(NodeStore(4, mode="legacy"), 6), 7),
+    ],
+    ids=["make_gate_dd", "identity_chain"],
+)
+def test_undersized_store_rejected(build, needed):
+    with pytest.raises(ValueError, match=f"store has 4 levels, {needed} needed"):
+        build()
+
+
 def test_cnot_matrix_entries(store):
     # block form: identity in the top-left, bit flip in the bottom-right
     edge = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2)

@@ -79,6 +79,8 @@ def test_basis_state_rejects_bad_input(store):
         make_basis_state(store, 3, "01")
     with pytest.raises(ValueError):
         make_basis_state(store, 2, "0x")
+    with pytest.raises(ValueError, match="store has 4 levels, 8 needed"):
+        make_basis_state(NodeStore(4), 8, "0" * 8)
 
 
 def test_amplitude_range_check(store):
