@@ -1,11 +1,11 @@
 """Decision-diagram arithmetic under level skipping.
 
 Matrix operands of multiplication and addition may sit below the level
-being processed; a skipped level reads as an identity factor. Every
-routine reads such a level as the node mdd.identity_succ describes, so
-on the diagonal the operand passes through unchanged and off the
-diagonal the zero weight drops the term, by the same tests that drop a
-stored zero quadrant. Vector operands are always full height.
+being processed; a skipped level reads as an identity factor. Matrix
+products and sums read such a level as the node mdd.identity_succ
+describes, so on the diagonal the operand passes through unchanged and
+off the diagonal the zero weight drops the term, by the same tests that
+drop a stored zero quadrant. Vector operands are always full height.
 
 Every routine strips the operand edge weights before consulting the
 compute table and multiplies them back into the result, so cached
@@ -16,14 +16,15 @@ the level of a subproblem follows from its operand nodes. Recursion
 depth equals the number of levels; large instances must run under a
 raised recursion limit (see sim.run_deep).
 
-The levels of a matrix-vector product above the matrix root are pure
-identity: there the product only rebuilds the paths of the vector down
-to the matrix root. That region is memoized per call, keyed by vector
-node, and never touches the compute table; the table is consulted only
-at and below the matrix root. There the product is written out per
-quadrant, at a skipped level as at a matrix node: row i of the result
-is u(2i)*v0 + u(2i+1)*v1, and the four products and two sums run in
-that fixed order, which fixes the order in which nodes and weights are
+A matrix-vector product has one rule for a level the matrix skips,
+above the gate root or inside the gate: there the matrix is identity and
+the product only rebuilds the paths of the vector down to the next
+matrix node. Each such run of levels is memoized per call, in a dict
+made where the run is entered and keyed by vector node, and counts as
+no compute-table lookup; the table is consulted only at matrix nodes.
+There the product is written out per quadrant: row i of the result is
+u(2i)*v0 + u(2i+1)*v1, and the four products and two sums run in that
+fixed order, which fixes the order in which nodes and weights are
 created.
 """
 
@@ -51,19 +52,16 @@ def multiply_mv(store: NodeStore, u: tuple, v: tuple, level: int) -> tuple:
     ut = u[0]
     if ut >= 0 and store.mat.level[ut] > level:
         raise StoreError(f"matrix rooted above level {level}")
-    if ut < 0 or store.mat.level[ut] == level:
-        return _mul_mv(store, ut, u[1], vt, v[1], level)
-    w = store.weights.mul(u[1], v[1])
-    if w == ZERO:
-        return ZERO_EDGE
-    return _mul_mv_above(store, ut, store.mat.level[ut], vt, w, level, {})
+    return _mul_mv(store, ut, u[1], vt, v[1], level)
 
 
-def _mul_mv_above(store, ut, ulevel, vt, vw, level, memo):
+def _mul_mv_skip(store, ut, ulevel, vt, vw, level, memo):
     """U*v for a nonzero vector edge at `level` above ulevel, the root level
-    of matrix node ut. The levels in between are identity, so each vector
-    node has one result for the whole call; memo holds them by vt (without
-    it a state like H^n would take 2^level paths)."""
+    of matrix node ut: every run of levels where the matrix is identity,
+    above the gate root or inside the gate. The levels in between only
+    rebuild the paths of the vector down to ulevel, so each vector node
+    has one result for the run; memo holds them by vt (without it a state
+    like H^n would take 2^level paths)."""
     r = memo.get(vt)
     if r is None:
         t0, w0, t1, w1 = store.vec.succ[vt]
@@ -72,8 +70,8 @@ def _mul_mv_above(store, ut, ulevel, vt, vw, level, memo):
             e0 = ZERO_EDGE if w0 == ZERO else _mul_mv(store, ut, ONE, t0, w0, below)
             e1 = ZERO_EDGE if w1 == ZERO else _mul_mv(store, ut, ONE, t1, w1, below)
         else:
-            e0 = ZERO_EDGE if w0 == ZERO else _mul_mv_above(store, ut, ulevel, t0, w0, below, memo)
-            e1 = ZERO_EDGE if w1 == ZERO else _mul_mv_above(store, ut, ulevel, t1, w1, below, memo)
+            e0 = ZERO_EDGE if w0 == ZERO else _mul_mv_skip(store, ut, ulevel, t0, w0, below, memo)
+            e1 = ZERO_EDGE if w1 == ZERO else _mul_mv_skip(store, ut, ulevel, t1, w1, below, memo)
         if e0[0] == t0 and e0[1] == w0 and e1[0] == t1 and e1[1] == w1:
             # children untouched: the stored node is already the result
             r = (vt, ONE)
@@ -102,18 +100,20 @@ def _mul_mv(store, ut, uw, vt, vw, level):
             return ZERO_EDGE
     if ut == TERMINAL:
         return (vt, ow)
-    key = (ut, vt)  # vector nodes never skip, so level == vec.level[vt]
+    # only after the returns above: array("i") would take a stub's
+    # negative id as an index and read some other node's level
+    ulevel = store.mat.level[ut]
+    if ulevel < level:
+        return _mul_mv_skip(store, ut, ulevel, vt, ow, level, {})
+    key = (ut, vt)  # matrix node at the vector's level: level == vec.level[vt]
     hit = store.ct_lookup(MUL_MV, key)
     if hit is not None:
         r = hit
     else:
         v0t, v0w, v1t, v1w = store.vec.succ[vt]
         below = level - 1
-        skipped = store.mat.level[ut] < level
         # row i is u(2i)*v0 + u(2i+1)*v1; rows and terms in this order
-        u0t, u0w, u1t, u1w, u2t, u2w, u3t, u3w = (
-            identity_succ(ut) if skipped else store.mat.succ[ut]
-        )
+        u0t, u0w, u1t, u1w, u2t, u2w, u3t, u3w = store.mat.succ[ut]
         e0 = e1 = ZERO_EDGE
         if u0w != ZERO and v0w != ZERO:
             e0 = _mul_mv(store, u0t, u0w, v0t, v0w, below)
@@ -131,11 +131,7 @@ def _mul_mv(store, ut, uw, vt, vw, level):
                 e1 = m
             elif m[1] != ZERO:
                 e1 = _add_v(store, e1, m, below)
-        if skipped and e0[0] == v0t and e0[1] == v0w and e1[0] == v1t and e1[1] == v1w:
-            # children untouched: the stored node is already the result
-            r = (vt, ONE)
-        else:
-            r = make_vector_node(store, level, e0, e1)
+        r = make_vector_node(store, level, e0, e1)
         store.ct_insert(MUL_MV, key, r)
     rw = r[1]
     if rw == ZERO:

@@ -246,10 +246,14 @@ class _Parser:
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def take(self) -> str:
+    def current(self) -> str:
+        """The current token, not taken, so that a check of it errs at it."""
         if self.pos >= len(self.tokens):
             self._err("unexpected end of input")
-        tok = self.tokens[self.pos][0]
+        return self.tokens[self.pos][0]
+
+    def take(self) -> str:
+        tok = self.current()
         self.pos += 1
         return tok
 
@@ -273,31 +277,31 @@ class _Parser:
             self.pos += 1
         value = self._factor()
         while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self._factor()
-            if op == "*":
-                value *= rhs
+            if self.take() == "*":
+                value *= self._factor()
             else:
-                if rhs == 0.0:
-                    self._err("division by zero in parameter")
-                value /= rhs
+                value /= self._factor(divisor=True)
         return sign * value
 
-    def _factor(self) -> float:
+    def _factor(self, divisor: bool = False) -> float:
         tok = self.peek()
         if tok == "pi":
             self.pos += 1
             return math.pi
         if tok is not None and (tok[0].isdigit() or tok[0] == "."):
+            value = float(tok)
+            if divisor and value == 0.0:
+                self._err("division by zero in parameter")
             self.pos += 1
-            return float(tok)
+            return value
         self._err(f"expected a number or pi, got {tok!r}")
 
     def parse(self) -> Circuit:
         self.expect("OPENQASM")
-        version = self.take()
+        version = self.current()
         if version != "2.0":
             self._err(f"unsupported OPENQASM version {version!r}")
+        self.pos += 1
         self.expect(";")
 
         circuit: Circuit | None = None
@@ -319,9 +323,10 @@ class _Parser:
                 self.pos += 1
                 qreg_name = self.take()
                 self.expect("[")
-                size_tok = self.take()
+                size_tok = self.current()
                 if not size_tok.isdigit() or int(size_tok) < 1:
                     self._err("qreg size must be a positive integer")
+                self.pos += 1
                 self.expect("]")
                 self.expect(";")
                 circuit = Circuit(n=int(size_tok))

@@ -7,19 +7,22 @@ import pytest
 
 from dense import build_vdd, random_state, read_matrix, read_state, simulate, spec_matrix
 from qdd import (
+    Circuit,
     GateSpec,
     NodeStore,
     add_vectors,
     amplitude,
+    gen_qft,
     make_basis_state,
     make_gate_dd,
     multiply_mm,
     multiply_mv,
+    simulate_statevector,
     vnorm2,
 )
 from qdd.arith import _add_m
 from qdd.mdd import ZERO_EDGE_M, identity_node_ids
-from qdd.store import StoreError, TERMINAL
+from qdd.store import MUL_MV, StoreError, TERMINAL
 from qdd.vdd import ZERO_EDGE
 from qdd.weights import ONE
 
@@ -55,7 +58,9 @@ def test_terminal_matrix_edge_is_scaled_identity(store):
 
 def test_skip_region_memoized_per_vector_node():
     # H on all 64 levels gives a chain whose nodes have equal successors,
-    # so a skip recursion without a per-node memo would take 2^63 paths
+    # so a skip recursion without a per-node memo would take 2^63 paths:
+    # above the root of a gate on level 0, and inside a phase on level 63
+    # controlled by level 0, which skips levels 62..1
     n = 64
     store = NodeStore(n)
     state = make_basis_state(store, n, "0" * n)
@@ -67,6 +72,39 @@ def test_skip_region_memoized_per_vector_node():
     assert abs(amplitude(store, state, 0) - 2.0**-32) < 1e-22
     assert abs(amplitude(store, state, 2**n - 1) + 2.0**-32) < 1e-22
 
+    top = 2 ** (n - 1)
+    indices = (0, 1, 5, top, top + 1, top + 2, top + 12345, 2**n - 1)
+    before = [amplitude(store, state, i) for i in indices]
+    created = store.vec.created
+    cs = make_gate_dd(store, GateSpec((1, 0, 0, 1j), n - 1, ((0, True),)), n)
+    state = multiply_mv(store, cs, state, n - 1)
+    assert store.vec.created - created == n
+    for i, amp in zip(indices, before):
+        assert amplitude(store, state, i) == (amp * 1j if i >= top and i & 1 else amp)
+
+
+def test_compute_table_consulted_only_at_matrix_nodes(monkeypatch):
+    # every skipped level is memoized per call, so a MUL_MV key pairs a
+    # matrix node with a vector node of the same level
+    keys = []
+    lookup = NodeStore.ct_lookup
+
+    def spy(self, tag, key):
+        if tag == MUL_MV:
+            keys.append(key)
+        return lookup(self, tag, key)
+
+    monkeypatch.setattr(NodeStore, "ct_lookup", spy)
+    n = 16
+    circuit = Circuit(n)
+    for wire in (0, 3, 4, 9, 15):
+        circuit.add("x", wire)
+    circuit.gates.extend(gen_qft(n).gates)
+    store = NodeStore(n)
+    simulate_statevector(circuit, "new", store=store)
+    assert keys
+    assert all(store.mat.level[ut] == store.vec.level[vt] for ut, vt in keys)
+
 
 def test_single_node_gate_on_100_qubits():
     # oracle: dense simulation at n=10 plus amplitude spot checks at n=100
@@ -74,8 +112,6 @@ def test_single_node_gate_on_100_qubits():
     state = make_basis_state(n10, 10, "0" * 10)
     h = make_gate_dd(n10, GateSpec(H, 0), 10)
     state = multiply_mv(n10, h, state, 9)
-    from qdd import Circuit
-
     dense_c = Circuit(10, name="h0")
     dense_c.add("h", 9)  # wire 9 = level 0
     assert np.abs(read_state(n10, state, 10) - simulate(dense_c)).max() < 1e-12

@@ -97,6 +97,20 @@ def test_gate_errors_reported_at_gate_name(line, col):
     assert (err.value.line, err.value.col) == (3, col)
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("OPENQASM 3.0;\nqreg q[1];\n", 1, 10),  # the version
+        ("OPENQASM 2.0;\nqreg q[0];\n", 2, 8),  # the size
+        ("OPENQASM 2.0;\nqreg q[1];\nrz(pi/0) q[0];\n", 3, 7),  # the divisor
+    ],
+)
+def test_bad_values_reported_at_their_token(text, line, col):
+    with pytest.raises(QasmSyntaxError) as err:
+        parse_qasm(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_missing_header_rejected():
     with pytest.raises(QasmSyntaxError):
         parse_qasm("qreg q[2];\nh q[0];\n")

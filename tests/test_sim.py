@@ -319,7 +319,7 @@ def _qft_on_basis(n, x):
     [
         ("ghz64", "new", (127, 2144, 192, 127, 0, 0, 189, 2206, 127)),
         ("ghz64", "legacy", (2143, 2144, 255, 127, 0, 126, 4096, 4160, 2143)),
-        ("qft16", "new", (301, 1007, 60, 16, 0, 563, 1331, 1680, 337)),
+        ("qft16", "new", (301, 1007, 60, 16, 0, 297, 463, 1708, 337)),
         ("qft16", "legacy", (1814, 1007, 86, 16, 0, 1594, 2270, 2286, 2198)),
         ("qft5-unitary", "new", (1084, 0, 514, 341, 0, 187, 1049, 0, 1092)),
         ("qft5-unitary", "legacy", (1133, 0, 521, 341, 0, 929, 1452, 0, 1567)),
