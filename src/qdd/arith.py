@@ -9,7 +9,9 @@ drop a stored zero quadrant. Vector operands are always full height.
 
 Every routine strips the operand edge weights before consulting the
 compute table and multiplies them back into the result, so cached
-entries are shared across scaled versions of the same subproblem.
+entries are shared across scaled versions of the same subproblem. Each
+makes one round trip: look the key up, compute the node and insert it
+only on a miss, then scale the result by one tail, hit or miss alike.
 Addition additionally keys on the relative weight of its (canonically
 ordered) operands. Keys hold nothing else: a store holds one mode, and
 the level of a subproblem follows from its operand nodes. Recursion
@@ -106,10 +108,8 @@ def _mul_mv(store, ut, uw, vt, vw, level):
     if ulevel < level:
         return _mul_mv_skip(store, ut, ulevel, vt, ow, level, {})
     key = (ut, vt)  # matrix node at the vector's level: level == vec.level[vt]
-    hit = store.ct_lookup(MUL_MV, key)
-    if hit is not None:
-        r = hit
-    else:
+    r = store.ct_lookup(MUL_MV, key)
+    if r is None:
         v0t, v0w, v1t, v1w = store.vec.succ[vt]
         below = level - 1
         # row i is u(2i)*v0 + u(2i+1)*v1; rows and terms in this order
@@ -167,23 +167,20 @@ def _add_v(store, a, b, level):
         at, aw, bt, bw = bt, bw, at, aw
     rel = wt.div(bw, aw)
     key = (at, bt, rel)  # vector nodes never skip, so level == vec.level[at]
-    hit = store.ct_lookup(ADD_V, key)
-    if hit is not None:
-        rt, rw = hit
-        w = wt.mul(aw, rw)
-        return ZERO_EDGE if w == ZERO else (rt, w)
-    asucc = store.vec.succ[at]
-    bsucc = store.vec.succ[bt]
-    edges = []
-    for j in (0, 2):
-        ea = (asucc[j], asucc[j + 1])
-        ebw = bsucc[j + 1]
-        if ebw != ZERO:
-            ebw = wt.mul(rel, ebw)
-        eb = (bsucc[j], ebw) if ebw != ZERO else ZERO_EDGE
-        edges.append(_add_v(store, ea, eb, level - 1))
-    r = make_vector_node(store, level, edges[0], edges[1])
-    store.ct_insert(ADD_V, key, r)
+    r = store.ct_lookup(ADD_V, key)
+    if r is None:
+        asucc = store.vec.succ[at]
+        bsucc = store.vec.succ[bt]
+        edges = []
+        for j in (0, 2):
+            ea = (asucc[j], asucc[j + 1])
+            ebw = bsucc[j + 1]
+            if ebw != ZERO:
+                ebw = wt.mul(rel, ebw)
+            eb = (bsucc[j], ebw) if ebw != ZERO else ZERO_EDGE
+            edges.append(_add_v(store, ea, eb, level - 1))
+        r = make_vector_node(store, level, edges[0], edges[1])
+        store.ct_insert(ADD_V, key, r)
     w = wt.mul(aw, r[1])
     return ZERO_EDGE if w == ZERO else (r[0], w)
 
@@ -205,36 +202,33 @@ def _mul_mm(store, at, aw, bt, bw):
         w = wt.mul(aw, bw)
         other = bt if at == TERMINAL else at
         return ZERO_EDGE_M if w == ZERO else (other, w)
-    la = store.mat.level[at]
-    lb = store.mat.level[bt]
-    level = la if la >= lb else lb
     key = (at, bt)
-    hit = store.ct_lookup(MUL_MM, key)
-    if hit is not None:
-        rt, rw = hit
-        w = wt.mul(wt.mul(aw, bw), rw)
-        return ZERO_EDGE_M if w == ZERO else (rt, w)
-    asucc = store.mat.succ[at] if la == level else identity_succ(at)
-    bsucc = store.mat.succ[bt] if lb == level else identity_succ(bt)
-    edges = [ZERO_EDGE_M] * 4
-    for i in (0, 1):
-        for j in (0, 1):
-            eat, eaw = asucc[4 * i + 2 * j], asucc[4 * i + 2 * j + 1]
-            if eaw == ZERO:
-                continue
-            for k in (0, 1):
-                ebt, ebw = bsucc[4 * j + 2 * k], bsucc[4 * j + 2 * k + 1]
-                if ebw == ZERO:
+    r = store.ct_lookup(MUL_MM, key)
+    if r is None:
+        la = store.mat.level[at]
+        lb = store.mat.level[bt]
+        level = la if la >= lb else lb
+        asucc = store.mat.succ[at] if la == level else identity_succ(at)
+        bsucc = store.mat.succ[bt] if lb == level else identity_succ(bt)
+        edges = [ZERO_EDGE_M] * 4
+        for i in (0, 1):
+            for j in (0, 1):
+                eat, eaw = asucc[4 * i + 2 * j], asucc[4 * i + 2 * j + 1]
+                if eaw == ZERO:
                     continue
-                m = _mul_mm(store, eat, eaw, ebt, ebw)
-                if m[1] != ZERO:
-                    idx = 2 * i + k
-                    if edges[idx][1] == ZERO:
-                        edges[idx] = m
-                    else:
-                        edges[idx] = _add_m(store, edges[idx], m)
-    r = make_matrix_node(store, level, edges)
-    store.ct_insert(MUL_MM, key, r)
+                for k in (0, 1):
+                    ebt, ebw = bsucc[4 * j + 2 * k], bsucc[4 * j + 2 * k + 1]
+                    if ebw == ZERO:
+                        continue
+                    m = _mul_mm(store, eat, eaw, ebt, ebw)
+                    if m[1] != ZERO:
+                        idx = 2 * i + k
+                        if edges[idx][1] == ZERO:
+                            edges[idx] = m
+                        else:
+                            edges[idx] = _add_m(store, edges[idx], m)
+        r = make_matrix_node(store, level, edges)
+        store.ct_insert(MUL_MM, key, r)
     w = wt.mul(wt.mul(aw, bw), r[1])
     return ZERO_EDGE_M if w == ZERO else (r[0], w)
 
@@ -252,27 +246,24 @@ def _add_m(store, a, b):
         return ZERO_EDGE_M if w == ZERO else (TERMINAL, w)
     if (bt, bw) < (at, aw):
         at, aw, bt, bw = bt, bw, at, aw
-    la = store.mat.level[at] if at >= 0 else -1
-    lb = store.mat.level[bt] if bt >= 0 else -1
-    level = la if la >= lb else lb
     rel = wt.div(bw, aw)
     key = (at, bt, rel)
-    hit = store.ct_lookup(ADD_M, key)
-    if hit is not None:
-        rt, rw = hit
-        w = wt.mul(aw, rw)
-        return ZERO_EDGE_M if w == ZERO else (rt, w)
-    asucc = store.mat.succ[at] if la == level else identity_succ(at)
-    bsucc = store.mat.succ[bt] if lb == level else identity_succ(bt)
-    edges = []
-    for j in (0, 2, 4, 6):
-        ea = (asucc[j], asucc[j + 1])
-        ebw = bsucc[j + 1]
-        if ebw != ZERO:
-            ebw = wt.mul(rel, ebw)
-        eb = (bsucc[j], ebw) if ebw != ZERO else ZERO_EDGE_M
-        edges.append(_add_m(store, ea, eb))
-    r = make_matrix_node(store, level, edges)
-    store.ct_insert(ADD_M, key, r)
+    r = store.ct_lookup(ADD_M, key)
+    if r is None:
+        la = store.mat.level[at] if at >= 0 else -1
+        lb = store.mat.level[bt] if bt >= 0 else -1
+        level = la if la >= lb else lb
+        asucc = store.mat.succ[at] if la == level else identity_succ(at)
+        bsucc = store.mat.succ[bt] if lb == level else identity_succ(bt)
+        edges = []
+        for j in (0, 2, 4, 6):
+            ea = (asucc[j], asucc[j + 1])
+            ebw = bsucc[j + 1]
+            if ebw != ZERO:
+                ebw = wt.mul(rel, ebw)
+            eb = (bsucc[j], ebw) if ebw != ZERO else ZERO_EDGE_M
+            edges.append(_add_m(store, ea, eb))
+        r = make_matrix_node(store, level, edges)
+        store.ct_insert(ADD_M, key, r)
     w = wt.mul(aw, r[1])
     return ZERO_EDGE_M if w == ZERO else (r[0], w)

@@ -89,6 +89,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not 0 <= args.tolerance < float("inf"):
+        raise SystemExit2(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     circuit = _load_circuit(args)
     n = circuit.n
     runs = {}
@@ -132,6 +134,8 @@ def _cmd_bench(args) -> int:
     if not sizes:
         raise SystemExit2("--qubits needs a comma-separated size list")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise SystemExit2("--modes needs a comma-separated mode list")
     for m in modes:
         if m not in (MODE_NEW, MODE_LEGACY):
             raise SystemExit2(f"unknown mode {m!r}")

@@ -43,14 +43,15 @@ nodes are not yet referenced.
 The pools keep the level of each node in an array("i"), so a level
 costs 4 bytes and no int object, however high it is.
 
-The compute table is direct-mapped, one table per operation tag (ADD_V,
-ADD_M, MUL_MV, MUL_MM), slot hash(key) & mask, and an insert evicts
-whatever held its slot. A tag's table is made by its first ct_insert, so
-a store holds none until it computes and a statevector run never makes
-the matrix tags' tables. It starts sparse, a dict from slot index to
-(key, target, weight), and turns into a flat slot list of three words
-per slot (key, target, weight at 3 * slot) once it holds more than 1/16
-of the slots. The slot function is the same in both forms, so the switch
+The compute table is a direct-mapped cache of one fixed size: one table
+of 65,536 slots per operation tag (ADD_V, ADD_M, MUL_MV, MUL_MM), slot
+hash(key) & 0xFFFF, and an insert evicts whatever held its slot. A tag's
+table is made by its first ct_insert, so a store holds none until it
+computes and a statevector run never makes the matrix tags' tables. It
+starts sparse, a dict from slot index to (key, target, weight), and
+turns into a flat slot list of three words per slot (key, target,
+weight at 3 * slot) once it holds more than 4,096 entries, 1/16 of the
+slots. The slot function is the same in both forms, so the switch
 changes no hit or miss. collect_garbage drops every table. A hit builds
 the (target, weight) result edge afresh.
 """
@@ -76,12 +77,12 @@ ADD_M = 1
 MUL_MV = 2
 MUL_MM = 3
 _NUM_TAGS = 4
-# Largest ct_bits accepted: 2**24 slots, 3 words each, is 384 MB per tag.
-MAX_CT_BITS = 24
-# A sparse tag turns flat once it holds more than 1/2**_CT_SPARSE_SHIFT of
-# the slots: a dict entry and its 3-tuple cost about 100 B against 24 B
-# per flat slot, so the dict is the smaller up to about a quarter full.
-_CT_SPARSE_SHIFT = 4
+# A key's compute-table slot is hash(key) & _CT_MASK: 65,536 per tag.
+_CT_MASK = 0xFFFF
+# A sparse tag turns flat once it holds more than 1/16 of the slots: a
+# dict entry and its 3-tuple cost about 100 B against 24 B per flat
+# slot, so the dict is the smaller up to about a quarter full.
+_CT_SPARSE_MAX = (_CT_MASK + 1) >> 4
 
 # Per-(kind, level) unique-table size that signals collection pressure.
 TABLE_GC_THRESHOLD = 1 << 15
@@ -193,18 +194,9 @@ class NodeStore:
     """Owns all nodes of one engine instance. Single-threaded by design;
     independent stores may be used from different threads freely."""
 
-    def __init__(
-        self,
-        num_levels: int,
-        ct_bits: int | None = 16,
-        mode: str = MODE_NEW,
-    ) -> None:
+    def __init__(self, num_levels: int, mode: str = MODE_NEW) -> None:
         if num_levels < 1:
             raise ValueError("need at least one level")
-        if ct_bits is not None and not (type(ct_bits) is int and 0 <= ct_bits <= MAX_CT_BITS):
-            raise ValueError(
-                f"ct_bits must be None, 0 or an int in 1..{MAX_CT_BITS}, got {ct_bits!r}"
-            )
         self.num_levels = num_levels
         self.weights = WeightTable()
         self.vec = _Pool(num_levels)
@@ -222,10 +214,7 @@ class NodeStore:
         self.mode = mode
 
         # Per tag: None, then a sparse dict, then a flat list (see the
-        # module docstring); with ct_bits None or 0 the mask is 0 and a
-        # tag never gets a table.
-        self._ct_mask = (1 << ct_bits) - 1 if ct_bits else 0
-        self._ct_sparse_max = (self._ct_mask + 1) >> _CT_SPARSE_SHIFT
+        # module docstring).
         self._ct: list[dict | list | None] = [None] * _NUM_TAGS
 
     def require_levels(self, n: int) -> None:
@@ -377,7 +366,7 @@ class NodeStore:
         """The result edge stored under `key` for operation `tag`, or None."""
         slots = self._ct[tag]
         if slots is not None:
-            i = hash(key) & self._ct_mask
+            i = hash(key) & _CT_MASK
             if type(slots) is list:
                 i *= 3
                 if slots[i] == key:
@@ -395,19 +384,17 @@ class NodeStore:
         """Store the result edge of operation `tag` under `key`, evicting
         whatever held its slot."""
         slots = self._ct[tag]
-        i = hash(key) & self._ct_mask
+        i = hash(key) & _CT_MASK
         if type(slots) is list:
             i *= 3
             slots[i] = key
             slots[i + 1], slots[i + 2] = result
             return
         if slots is None:
-            if not self._ct_mask:
-                return
             slots = self._ct[tag] = {}
         slots[i] = (key, *result)
-        if len(slots) > self._ct_sparse_max:
-            flat = self._ct[tag] = [None] * (3 * (self._ct_mask + 1))
+        if len(slots) > _CT_SPARSE_MAX:
+            flat = self._ct[tag] = [None] * (3 * (_CT_MASK + 1))
             for j, entry in slots.items():
                 flat[3 * j : 3 * j + 3] = entry
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import qdd.cli
 from qdd.circuit import Circuit
 from qdd.cli import main
@@ -82,6 +84,26 @@ def test_bench_emits_tables(tmp_path):
     assert len(rows) == 4
     header = csv_path.read_text().splitlines()[0]
     assert "matrix_nodes_created" in header
+
+
+def test_bench_without_modes_is_usage_error(tmp_path, capsys):
+    json_path = tmp_path / "rows.json"
+    code = main(
+        ["bench", "--benchmark", "ghz", "--qubits", "8", "--modes", ",", "--json", str(json_path)]
+    )
+    assert code == 2
+    assert "--modes" in capsys.readouterr().err
+    assert not json_path.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-3"])
+def test_compare_rejects_bad_tolerance(tolerance, capsys):
+    # one token, so argparse does not read "-1e-3" as an option
+    code = main(["compare", "--benchmark", "ghz", "--qubits", "4", f"--tolerance={tolerance}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--tolerance" in captured.err
+    assert captured.out == ""
 
 
 def test_usage_error_exit_2():

@@ -198,22 +198,6 @@ def test_ct_counters(store):
     assert store.ct_misses == 1
 
 
-@pytest.mark.parametrize("bits", [-1, 2.5, 40, "16"])
-def test_ct_bits_out_of_range_rejected(bits):
-    # checked before any table exists, so 40 raises ValueError, not MemoryError
-    with pytest.raises(ValueError):
-        NodeStore(3, ct_bits=bits)
-
-
-@pytest.mark.parametrize("bits", [None, 0])
-def test_ct_off_stores_nothing(bits):
-    store = NodeStore(3, ct_bits=bits)
-    store.ct_insert(ADD_V, (1, 2, 3), (5, ONE))
-    assert store.ct_lookup(ADD_V, (1, 2, 3)) is None
-    assert (store.ct_hits, store.ct_misses) == (0, 1)
-    assert store._ct == [None] * 4
-
-
 def test_idle_store_holds_no_table():
     tracemalloc.start()
     try:
@@ -249,25 +233,32 @@ def test_ct_tables_made_on_first_use_and_dropped_by_gc():
 
 
 def test_ct_sparse_then_flat_matches_direct_mapped_reference():
-    # 64 slots, so the table turns flat once it holds more than 4 entries
-    store = NodeStore(3, ct_bits=6)
-    slots = 64
+    # 65,536 slots per tag, so the table turns flat once it holds more
+    # than 4,096 entries
+    store = NodeStore(3)
+    slots = 1 << 16
+    # up to three colliding keys for each of the first 64 slots
     by_slot = {}
-    for a in range(200):
-        for b in range(200):
-            by_slot.setdefault(hash((a, b)) & (slots - 1), []).append((a, b))
+    for a in range(500):
+        for b in range(500):
+            slot = hash((a, b)) & (slots - 1)
+            if slot < 64 and len(by_slot.setdefault(slot, [])) < 3:
+                by_slot[slot].append((a, b))
+    assert all(len(by_slot.get(slot, ())) >= 2 for slot in range(64))
     # keys sharing two slots first, evicting one another while the table is
-    # a dict of at most two entries; then keys spread over every slot
-    crowded = by_slot[0][:3] + by_slot[1][:3]
+    # a dict of at most two entries; then 5,000 keys that fill more than
+    # 4,096 slots; then the colliding keys again, now on the flat table
+    crowded = by_slot[0] + by_slot[1]
     rng = random.Random(5)
     stream = [rng.choice(crowded) for _ in range(60)]
-    stream += [rng.choice(by_slot[rng.randrange(slots)][:3]) for _ in range(600)]
-    reference = [None] * slots
+    stream += [(-1, c) for c in range(5000)]
+    stream += [rng.choice(by_slot[rng.randrange(64)]) for _ in range(600)]
+    reference = {}
     layouts = []
     for n, key in enumerate(stream):
         slot = hash(key) & (slots - 1)
         result = (n, ONE)
-        if reference[slot] is not None and reference[slot][0] == key:
+        if slot in reference and reference[slot][0] == key:
             assert store.ct_lookup(ADD_V, key) == reference[slot][1]
             layouts.append((type(store._ct[ADD_V]), "hit"))
         else:
@@ -303,19 +294,43 @@ def test_high_level_costs_no_int_per_node():
 
 
 def test_repeated_multiply_hits_cache_at_top():
-    # oracle: recursion invocations counted via compute-table probes
-    from qdd import multiply_mv
+    # oracle: recursion invocations counted via compute-table probes. Each
+    # operation is repeated with both operands scaled by 0.5 (exact in
+    # binary): one top-level hit, no miss, and the hit's weight scaled once
+    # by the tail (0.25 for a product, 0.5 for a sum).
+    from qdd import add_vectors, multiply_mm, multiply_mv
+    from qdd.arith import _add_m
 
-    store = NodeStore(4)
-    spec = GateSpec(X, 0, ((3, True),))
-    gate = make_gate_dd(store, spec, 4)
-    state = make_basis_state(store, 4, "0000")
-    multiply_mv(store, gate, state, 3)
-    misses_after_first = store.ct_misses
-    hits_before = store.ct_hits
-    multiply_mv(store, gate, state, 3)
-    assert store.ct_hits == hits_before + 1  # single top-level hit
-    assert store.ct_misses == misses_after_first
+    def gates(store):
+        cx = make_gate_dd(store, GateSpec(X, 0, ((3, True),)), 4)
+        return cx, make_gate_dd(store, GateSpec(X, 3), 4)
+
+    def states(store):
+        return make_basis_state(store, 4, "0000"), make_basis_state(store, 4, "1001")
+
+    def mv(store):
+        return gates(store)[0], states(store)[0]
+
+    cases = [
+        ("multiply_mv", mv, lambda s, a, b: multiply_mv(s, a, b, 3), 0.25),
+        ("add_vectors", states, lambda s, a, b: add_vectors(s, a, b, 3), 0.5),
+        ("multiply_mm", gates, lambda s, a, b: multiply_mm(s, a, b, 3), 0.25),
+        ("_add_m", gates, _add_m, 0.5),
+    ]
+    for name, operands, op, factor in cases:
+        store = NodeStore(4)
+        a, b = operands(store)
+        assert a[0] != b[0] and a[0] >= 0 and b[0] >= 0, name
+        first = op(store, a, b)
+        hits, misses = store.ct_hits, store.ct_misses
+        half = store.weights.intern(0.5)
+        scaled = [(t, store.weights.mul(w, half)) for t, w in (a, b)]
+        second = op(store, *scaled)
+        assert store.ct_hits == hits + 1, name  # single top-level hit
+        assert store.ct_misses == misses, name
+        assert second[0] == first[0], name
+        got = store.weights.value(second[1])
+        assert got == pytest.approx(store.weights.value(first[1]) * factor, abs=1e-15), name
 
 
 def test_cache_transparency_same_structure_without_ct():
@@ -325,7 +340,8 @@ def test_cache_transparency_same_structure_without_ct():
 
     circuit = gen_w(5)
     with_ct = NodeStore(5)
-    without_ct = NodeStore(5, ct_bits=None)
+    without_ct = NodeStore(5)
+    without_ct.ct_lookup = lambda tag, key: None  # every probe misses
     s1, _ = simulate_statevector(circuit, "new", store=with_ct)
     s2, _ = simulate_statevector(circuit, "new", store=without_ct)
     a1 = read_state(with_ct, s1, 5)
