@@ -61,26 +61,28 @@ def _cmd_simulate(args) -> int:
     store = NodeStore(circuit.n)
     indices = _parse_indices(args.amplitudes) if args.amplitudes else []
     if args.kind == "statevector":
-        root, report = simulate_statevector(
-            circuit, args.mode, store=store, amplitude_indices=indices
-        )
+        root, report = simulate_statevector(circuit, args.mode, store=store)
         dd_kind = VEC
     else:
         if indices:
             raise SystemExit2("--amplitudes applies to statevector runs only")
         root, report = simulate_unitary(circuit, args.mode, store=store)
         dd_kind = MAT
+    amplitudes = {i: amplitude(store, root, i) for i in indices}
     print(
         f"{report.benchmark or 'circuit'} n={report.n} |G|={report.gate_count} "
         f"mode={report.mode} kind={report.kind} t={report.wall_time_seconds:.3f}s "
         f"matrix_nodes={report.matrix_nodes_created} vector_nodes={report.vector_nodes_created} "
         f"gc_runs={report.gc_runs} ct_hit_rate={report.ct_hit_rate:.3f}"
     )
-    for i, value in report.amplitude_samples.items():
+    for i, value in amplitudes.items():
         print(f"amplitude[{i}] = {value}")
     if args.stats_json:
+        payload = report.to_json_dict()
+        if amplitudes:
+            payload["amplitudes"] = {str(i): [v.real, v.imag] for i, v in amplitudes.items()}
         with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
+            json.dump(payload, fh, indent=2)
             fh.write("\n")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

@@ -11,7 +11,7 @@ A "legacy" store holds the conventional full-height representation in
 which every gate is padded with explicit identity nodes. The identity
 chains I_0 .. I_k that padding reads are kept in the store's identity
 table (NodeStore.identity_m), so a legacy gate looks up only its own
-nodes, not the identity structure below them, in the unique table.
+nodes, not the identity structure, in the unique table.
 
 identity_succ(t) is the one reading of a level that an edge to t skips:
 the flat successors [t*1, 0, 0, t*1]. Every routine that expands a
@@ -19,6 +19,13 @@ skipped level (the arithmetic, matrix_entry) reads it, and legacy
 padding writes it: a padded level [e, 0, 0, e] with e = (t, w) is
 already normalized, so it goes straight to the unique table as
 (node identity_succ(t), w), the edge make_matrix_node returns for it.
+
+make_gate_dd is one loop that climbs the levels; the mode only picks
+which levels it visits. New mode visits the target and the controls;
+legacy mode visits every level from the lowest of them to the top, and
+pads each level that is neither by one rule on both sides of the target:
+an edge w*I_(k-1) becomes w*I_k from the identity table, any other edge
+is padded through identity_succ as above.
 
 Stored nodes are normalized by the first successor weight of maximal
 magnitude, folded into the incoming edge. That keeps identity-shaped
@@ -29,9 +36,10 @@ bit of entry indices). The circuit layer maps its wire numbering onto
 levels before reaching this module.
 
 Controls below the target and negative controls are supported by the
-same per-level construction with quadrant roles swapped; this is an
-extension beyond the minimal control-above-target case and is exercised
-against dense oracles in the test suite.
+same per-level rule as controls above it, with the active and inactive
+slots swapped for a negative control; this is an extension beyond the
+minimal control-above-target case and is exercised against dense
+oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -156,73 +164,60 @@ def identity_chain(store: NodeStore, top_level: int) -> tuple:
 def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
     """Build the n-qubit operator DD for a (controlled) 2x2 gate.
 
-    New mode touches only the levels the gate acts on: its root sits at
-    max(target, controls) and skipped levels read as identity. Legacy
-    mode pads every other level with explicit identity structure and
-    returns a full-height DD rooted at n-1.
+    One loop climbs the levels the store's mode visits: new mode visits
+    the target and the controls only, so the root sits at the highest of
+    them and every other level is skipped; legacy mode visits every level
+    from the lowest gate level up, so the root sits at n-1.
     """
     spec.validate(n)
     store.require_levels(n)
     wt = store.weights
-    legacy = store.mode == MODE_LEGACY
-    below = {lvl: pos for lvl, pos in spec.controls if lvl < spec.target}
-    above = [(lvl, pos) for lvl, pos in spec.controls if lvl > spec.target]
-
-    quads = []
+    target = spec.target
+    controls = dict(spec.controls)
+    gate_levels = sorted([target, *controls])
+    lowest = gate_levels[0]
+    # below the lowest gate level every nonzero quadrant is w*I_(lowest-1):
+    # the terminal edge in new mode, read from the identity table in legacy
+    ident = identity_chain(store, lowest - 1)[0]
+    edges = []
     for u in spec.base:
         w = wt.intern(u.real, u.imag)
-        quads.append((TERMINAL, w) if w != ZERO else ZERO_EDGE_M)
+        edges.append((ident, w) if w != ZERO else ZERO_EDGE_M)
 
-    target = spec.target
-    if legacy:
-        # below the lowest control (or the target) every nonzero quadrant
-        # is w*I: it becomes w*I_(start-1), read from the identity table,
-        # which extends the chain in the order level-by-level padding would
-        start = min(below, default=target)
-        if start:
-            ident = identity_chain(store, start - 1)[0]
-            quads = [q if q[1] == ZERO else (ident, q[1]) for q in quads]
-        levels = range(start, target)
+    if store.mode == MODE_LEGACY:
+        levels = range(lowest, n)
     else:
-        levels = sorted(below)
+        levels = gate_levels
+    chain = store.identity_m
+    lookup = store.mat.lookup
+    # edges holds the four quadrants below the target and the gate's one
+    # edge from the target up; indices 0 and 3 are the diagonal blocks
     for level in levels:
-        if level in below:
+        if level == target:
+            edges = [make_matrix_node(store, level, edges)]
+        elif level in controls:
+            # a diagonal edge is identity where the control is inactive,
+            # any other edge zero; a negative control swaps the slots
             ident = identity_chain(store, level - 1)
-            pos = below[level]
-            for idx in range(4):
-                diag = ident if idx in (0, 3) else ZERO_EDGE_M
-                active, inactive = (quads[idx], diag) if pos else (diag, quads[idx])
-                quads[idx] = make_matrix_node(
-                    store, level, (inactive, ZERO_EDGE_M, ZERO_EDGE_M, active)
-                )
+            for idx, e in enumerate(edges):
+                idle = ident if idx in (0, 3) else ZERO_EDGE_M
+                succ = (idle, ZERO_EDGE_M, ZERO_EDGE_M, e)
+                if not controls[level]:
+                    succ = succ[::-1]
+                edges[idx] = make_matrix_node(store, level, succ)
         else:
-            # legacy padding above a control: a quadrant w*I_(level-1) becomes
-            # w*I_level (recognized only if the identity table holds
-            # I_(level-1)); any other is padded as in the module docstring
-            ident = store.identity_m[level - 1][0] if level <= len(store.identity_m) else None
-            for idx in range(4):
-                t, w = quads[idx]
+            # a padded level: w*I_(level-1) becomes w*I_level (recognized
+            # only if the identity table holds I_(level-1)); any other edge
+            # is padded as in the module docstring
+            ident = chain[level - 1][0] if level <= len(chain) else None
+            for idx, (t, w) in enumerate(edges):
                 if w == ZERO:
                     continue
                 if t == ident:
-                    quads[idx] = (identity_chain(store, level)[0], w)
+                    edges[idx] = (identity_chain(store, level)[0], w)
                 else:
-                    quads[idx] = (store.mat.lookup(level, identity_succ(t)), w)
-
-    edge = make_matrix_node(store, target, tuple(quads))
-
-    above_ctrl = dict(above)
-    for level in range(target + 1, n) if legacy else sorted(above_ctrl):
-        if level in above_ctrl:
-            ident = identity_chain(store, level - 1)
-            if above_ctrl[level]:
-                succ = (ident, ZERO_EDGE_M, ZERO_EDGE_M, edge)
-            else:
-                succ = (edge, ZERO_EDGE_M, ZERO_EDGE_M, ident)
-            edge = make_matrix_node(store, level, succ)
-        else:
-            edge = (store.mat.lookup(level, identity_succ(edge[0])), edge[1])
-    return edge
+                    edges[idx] = (lookup(level, identity_succ(t)), w)
+    return edges[0]
 
 
 def matrix_entry(store: NodeStore, m: tuple, row: int, col: int, n: int) -> complex:

@@ -20,14 +20,14 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .circuit import Circuit
 from .mdd import identity_chain, make_gate_dd
 from .arith import multiply_mm, multiply_mv
 from .store import MAT, NodeStore, TERMINAL, VEC, ZERO_STUB
-from .vdd import amplitude, make_basis_state
+from .vdd import make_basis_state
 from .weights import ONE, TOLERANCE, ZERO
 
 _limit_lock = threading.Lock()
@@ -58,38 +58,31 @@ def run_deep(fn, levels: int):
                 sys.setrecursionlimit(_saved_limit)
 
 
-# Report fields in the column order of `qdd bench --csv`.
-REPORT_FIELDS = (
-    "benchmark", "n", "gate_count", "kind", "mode", "wall_time_seconds",
-    "matrix_nodes_created", "vector_nodes_created", "peak_live_nodes",
-    "gc_runs", "ct_hit_rate",
-)
-
-
 @dataclass
 class SimReport:
+    """What one run reports; the fields are in the column order of
+    `qdd bench --csv` and the key order of the stats JSON."""
+
     benchmark: str
     n: int
     gate_count: int
-    mode: str
     kind: str
+    mode: str
     wall_time_seconds: float
     matrix_nodes_created: int
     vector_nodes_created: int
     peak_live_nodes: int
     gc_runs: int
     ct_hit_rate: float
-    amplitude_samples: dict[int, complex] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in REPORT_FIELDS}
+        out = asdict(self)
         out["engine_version"] = __version__
         out["epsilon_w"] = TOLERANCE
-        if self.amplitude_samples:
-            out["amplitudes"] = {
-                str(i): [v.real, v.imag] for i, v in self.amplitude_samples.items()
-            }
         return out
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(SimReport))
 
 
 def _simulate(
@@ -154,13 +147,10 @@ def simulate_statevector(
     circuit: Circuit,
     mode: str | None = None,
     store: NodeStore | None = None,
-    amplitude_indices=(),
 ) -> tuple[tuple, SimReport]:
     """Run the circuit on |0...0>; returns the final state edge and a report.
     Pass a store to inspect the state afterwards."""
-    store, state, report = _simulate(circuit, mode, store, "statevector")
-    for i in amplitude_indices:
-        report.amplitude_samples[i] = amplitude(store, state, i)
+    _store, state, report = _simulate(circuit, mode, store, "statevector")
     return state, report
 
 

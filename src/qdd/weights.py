@@ -28,7 +28,7 @@ _NEIGHBORS = (-1, 0, 1)
 
 
 class WeightError(ValueError):
-    """Non-finite input or division by the zero weight."""
+    """Non-finite or out-of-range input, or division by the zero weight."""
 
 
 class WeightTable:
@@ -57,10 +57,10 @@ class WeightTable:
 
         Returns an existing handle whenever a stored value lies within
         TOLERANCE (max-norm, inclusive); ties go to the closest stored
-        value. Negative zero components normalize to +0.0 first.
+        value. Negative zero components normalize to +0.0 first. Raises
+        WeightError for a NaN or infinite component, or one so large
+        (above about 3.6e295) that its bucket index overflows.
         """
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise WeightError(f"non-finite weight component ({re!r}, {im!r})")
         if re == 0.0:
             re = 0.0
         if im == 0.0:
@@ -69,8 +69,13 @@ class WeightTable:
         h = self._exact.get(key)
         if h is not None:
             return h
-        bi = math.floor(re / _BUCKET)
-        bj = math.floor(im / _BUCKET)
+        # NaN, an infinity or a finite value too large for its bucket index
+        # fails here; none is ever stored, so none is found in _exact above
+        try:
+            bi = math.floor(re / _BUCKET)
+            bj = math.floor(im / _BUCKET)
+        except (OverflowError, ValueError):
+            raise WeightError(f"weight ({re!r}, {im!r}) not finite or too large") from None
         best = -1
         best_d = TOLERANCE
         for di in _NEIGHBORS:

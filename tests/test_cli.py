@@ -1,6 +1,7 @@
 """End-to-end command-line interface checks (in-process)."""
 
 import json
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from qdd.circuit import Circuit
 from qdd.cli import main
 from qdd.store import MODE_LEGACY
 
+S2 = 1.0 / math.sqrt(2.0)
 BELL = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n"
 
 
@@ -35,6 +37,32 @@ def test_simulate_input_amplitudes(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("0.7071067811865476") == 2
+
+
+def test_simulate_amplitudes_printed(capsys):
+    argv = ["simulate", "--benchmark", "ghz", "--qubits", "8", "--amplitudes", "0,255,7"]
+    assert main(argv) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        index, value = line.removeprefix("amplitude[").split("] = ")
+        printed[int(index)] = complex(value)
+    assert list(printed) == [0, 255, 7]
+    assert abs(printed[0] - S2) < 1e-12
+    assert abs(printed[255] - S2) < 1e-12
+    assert printed[7] == 0
+
+
+def test_stats_json_schema(tmp_path):
+    out = tmp_path / "stats.json"
+    argv = ["simulate", "--benchmark", "ghz", "--qubits", "4", "--amplitudes", "0"]
+    assert main(argv + ["--stats-json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload) == [
+        "benchmark", "n", "gate_count", "kind", "mode", "wall_time_seconds",
+        "matrix_nodes_created", "vector_nodes_created", "peak_live_nodes",
+        "gc_runs", "ct_hit_rate", "engine_version", "epsilon_w", "amplitudes",
+    ]
+    assert payload["amplitudes"]["0"][0] == pytest.approx(S2)
 
 
 def test_simulate_dot_output(tmp_path):

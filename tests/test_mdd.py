@@ -1,5 +1,6 @@
 """Matrix DD construction, identity skipping, gate building, readback."""
 
+import cmath
 import math
 
 import numpy as np
@@ -257,6 +258,32 @@ def test_legacy_gate_pads_from_identity_table(legacy_store):
     make_gate_dd(legacy_store, GateSpec(H, 99), 100)
     assert legacy_store.mat.lookups - lookups == 1
     assert legacy_store.mat.created - created == 1
+
+
+# a controlled phase pi/2^50 rounds to ONE, so the gate is the identity
+TINY_PHASE = (1, 0, 0, cmath.exp(1j * math.pi / 2**50))
+
+
+@pytest.mark.parametrize("control,target", [(0, 5), (3, 50), (40, 98)])
+def test_legacy_identity_gate_padded_from_identity_table(legacy_store, control, target):
+    # every padded level reads its identity from the table, above the
+    # target as below it: the only lookups are the control's two nonzero
+    # quadrants and the target node, none above the target
+    n = 100
+    full = identity_chain(legacy_store, n - 1)
+    created = legacy_store.mat.created
+    lookups = legacy_store.mat.lookups
+    edge = make_gate_dd(legacy_store, GateSpec(TINY_PHASE, target, ((control, True),)), n)
+    assert edge == full
+    assert legacy_store.mat.lookups - lookups == 3
+    assert legacy_store.mat.created == created
+
+
+@pytest.mark.parametrize("control,target", [(0, 5), (3, 50), (40, 98)])
+def test_new_identity_gate_is_terminal_edge(store, control, target):
+    edge = make_gate_dd(store, GateSpec(TINY_PHASE, target, ((control, True),)), 100)
+    assert edge == (TERMINAL, ONE)
+    assert store.mat.created == 0
 
 
 @pytest.mark.parametrize("n", [5, 100])

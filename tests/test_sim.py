@@ -71,15 +71,6 @@ def test_run_follows_store_mode():
     assert implied.matrix_nodes_created == explicit.matrix_nodes_created
 
 
-def test_amplitude_samples_in_report():
-    _state, report = simulate_statevector(
-        gen_ghz(8), "new", amplitude_indices=(0, 255, 7)
-    )
-    assert abs(report.amplitude_samples[0] - S2) < 1e-12
-    assert abs(report.amplitude_samples[255] - S2) < 1e-12
-    assert report.amplitude_samples[7] == 0
-
-
 def test_bell_unitary_matrix():
     store = NodeStore(2)
     u, report = simulate_unitary(parse_qasm(BELL), "new", store=store)
@@ -213,18 +204,6 @@ def test_run_deep_limit_outlives_an_overlapping_run_on_another_thread():
         thread.join(60)
     assert outcome == {"depth": depth}
     assert sys.getrecursionlimit() == limit
-
-
-def test_report_json_schema():
-    _s, report = simulate_statevector(gen_ghz(4), "new", amplitude_indices=(0,))
-    payload = report.to_json_dict()
-    for key in (
-        "benchmark", "n", "gate_count", "mode", "kind", "wall_time_seconds",
-        "matrix_nodes_created", "vector_nodes_created", "peak_live_nodes",
-        "gc_runs", "ct_hit_rate", "engine_version", "epsilon_w", "amplitudes",
-    ):
-        assert key in payload
-    assert payload["amplitudes"]["0"][0] == pytest.approx(S2)
 
 
 def test_unitarity_rejected_before_simulation():

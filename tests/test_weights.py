@@ -54,6 +54,17 @@ def test_non_finite_rejected(wt, re, im):
         wt.intern(re, im)
 
 
+@pytest.mark.parametrize("re,im", [(1e300, 0.0), (-1e300, 0.0), (0.0, 1e300), (0.5, -1e300)])
+def test_huge_finite_rejected(wt, re, im):
+    # finite, but its bucket index overflows; nothing is stored
+    size = len(wt)
+    with pytest.raises(WeightError):
+        wt.intern(re, im)
+    assert len(wt) == size
+    with pytest.raises(WeightError):
+        wt.intern(re, im)
+
+
 def test_mul_identities_are_exact(wt):
     a = wt.intern(0.3, -0.4)
     assert wt.mul(a, ONE) == a
