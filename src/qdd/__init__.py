@@ -23,12 +23,12 @@ from .store import (
     StoreError,
     TERMINAL,
     VEC,
+    ZERO_EDGE,
     ZERO_STUB,
 )
-from .vdd import ZERO_EDGE, amplitude, make_basis_state, make_vector_node, vnorm2
+from .vdd import amplitude, make_basis_state, make_vector_node, vnorm2
 from .mdd import (
     GateSpec,
-    ZERO_EDGE_M,
     identity_chain,
     make_gate_dd,
     make_matrix_node,
@@ -63,9 +63,9 @@ __all__ = [
     "__version__",
     "ONE", "TOLERANCE", "WeightError", "WeightTable", "ZERO",
     "MAT", "MODE_LEGACY", "MODE_NEW", "NodeStore", "StoreError", "TERMINAL", "VEC",
-    "ZERO_STUB",
-    "ZERO_EDGE", "amplitude", "make_basis_state", "make_vector_node", "vnorm2",
-    "GateSpec", "ZERO_EDGE_M", "identity_chain", "make_gate_dd", "make_matrix_node",
+    "ZERO_EDGE", "ZERO_STUB",
+    "amplitude", "make_basis_state", "make_vector_node", "vnorm2",
+    "GateSpec", "identity_chain", "make_gate_dd", "make_matrix_node",
     "matrix_entry", "resembles_identity",
     "add_vectors", "multiply_mm", "multiply_mv",
     "Circuit", "Gate", "QasmError", "QasmSemanticError", "QasmSyntaxError",

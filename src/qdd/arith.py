@@ -7,6 +7,16 @@ describes, so on the diagonal the operand passes through unchanged and
 off the diagonal the zero weight drops the term, by the same tests that
 drop a stored zero quadrant. Vector operands are always full height.
 
+The entry points multiply_mv, multiply_mm and add_vectors take edges
+only. An edge's extent follows from its target, so the level of a
+vector operand is its target's level, or -1 for the terminal and the
+zero stub. They check only what an edge cannot rule out: multiply_mv
+rejects a matrix rooted above a nonzero vector, and add_vectors two
+nonzero vectors of different heights; any two matrices multiply. The
+recursion below them passes the level down as an argument: reading it
+from the pool's array("i") would box a new int for every level above
+256, on every call.
+
 Every routine strips the operand edge weights before consulting the
 compute table and multiplies them back into the result, so cached
 entries are shared across scaled versions of the same subproblem. Each
@@ -32,29 +42,27 @@ created.
 
 from __future__ import annotations
 
-from .mdd import ZERO_EDGE_M, identity_succ, make_matrix_node
-from .store import ADD_M, ADD_V, MUL_MM, MUL_MV, NodeStore, StoreError, TERMINAL
-from .vdd import ZERO_EDGE, make_vector_node
+from .mdd import identity_succ, make_matrix_node
+from .store import ADD_M, ADD_V, MUL_MM, MUL_MV, NodeStore, StoreError, TERMINAL, ZERO_EDGE
+from .vdd import make_vector_node
 from .weights import ONE, ZERO
 
 
-def _misrooted(store: NodeStore, vt: int, level: int) -> StoreError:
-    """Vectors never skip levels: the error for a nonzero vector edge at
-    level >= 0 whose target is not a node rooted at `level`."""
-    found = f"rooted at {store.vec.level[vt]}" if vt >= 0 else "not a node"
-    return StoreError(f"vector is {found}, expected a node at level {level}")
+def _vector_level(store: NodeStore, v: tuple) -> int:
+    """Root level of a vector edge: its target's, or -1 for the terminal
+    and the zero stub."""
+    return store.vec.level[v[0]] if v[0] >= 0 else -1
 
 
-def multiply_mv(store: NodeStore, u: tuple, v: tuple, level: int) -> tuple:
-    """Matrix-vector product U*v with v rooted at `level`. Skipped matrix
-    levels act as identity; a terminal matrix edge is a scaled identity."""
-    vt = v[0]
-    if v[1] != ZERO and level >= 0 and (vt < 0 or store.vec.level[vt] != level):
-        raise _misrooted(store, vt, level)
+def multiply_mv(store: NodeStore, u: tuple, v: tuple) -> tuple:
+    """Matrix-vector product U*v. Skipped matrix levels act as identity; a
+    terminal matrix edge is a scaled identity. The matrix may not be
+    rooted above a nonzero vector."""
+    level = _vector_level(store, v)
     ut = u[0]
-    if ut >= 0 and store.mat.level[ut] > level:
-        raise StoreError(f"matrix rooted above level {level}")
-    return _mul_mv(store, ut, u[1], vt, v[1], level)
+    if ut >= 0 and v[1] != ZERO and store.mat.level[ut] > level:
+        raise StoreError(f"matrix rooted above the vector's level {level}")
+    return _mul_mv(store, ut, u[1], v[0], v[1], level)
 
 
 def _mul_mv_skip(store, ut, ulevel, vt, vw, level, memo):
@@ -144,11 +152,13 @@ def _mul_mv(store, ut, uw, vt, vw, level):
     return ZERO_EDGE if w == ZERO else (r[0], w)
 
 
-def add_vectors(store: NodeStore, a: tuple, b: tuple, level: int) -> tuple:
-    """Elementwise sum of two states rooted at `level` (or zero edges)."""
-    for t, w in (a, b):
-        if w != ZERO and level >= 0 and (t < 0 or store.vec.level[t] != level):
-            raise _misrooted(store, t, level)
+def add_vectors(store: NodeStore, a: tuple, b: tuple) -> tuple:
+    """Elementwise sum of two states of one height; either may be a zero
+    edge, and two terminal edges add as scalars."""
+    level = _vector_level(store, a)
+    other = _vector_level(store, b)
+    if a[1] != ZERO and b[1] != ZERO and other != level:
+        raise StoreError(f"vectors rooted at levels {level} and {other}")
     return _add_v(store, a, b, level)
 
 
@@ -185,23 +195,20 @@ def _add_v(store, a, b, level):
     return ZERO_EDGE if w == ZERO else (r[0], w)
 
 
-def multiply_mm(store: NodeStore, a: tuple, b: tuple, level: int) -> tuple:
+def multiply_mm(store: NodeStore, a: tuple, b: tuple) -> tuple:
     """Matrix-matrix product A*B; either operand may skip levels. If both
-    skip the current level the result skips it too."""
-    for e in (a, b):
-        if e[0] >= 0 and store.mat.level[e[0]] > level:
-            raise StoreError(f"matrix rooted above level {level}")
+    skip a level the result skips it too."""
     return _mul_mm(store, a[0], a[1], b[0], b[1])
 
 
 def _mul_mm(store, at, aw, bt, bw):
     if aw == ZERO or bw == ZERO:
-        return ZERO_EDGE_M
+        return ZERO_EDGE
     wt = store.weights
     if at == TERMINAL or bt == TERMINAL:
         w = wt.mul(aw, bw)
         other = bt if at == TERMINAL else at
-        return ZERO_EDGE_M if w == ZERO else (other, w)
+        return ZERO_EDGE if w == ZERO else (other, w)
     key = (at, bt)
     r = store.ct_lookup(MUL_MM, key)
     if r is None:
@@ -210,7 +217,7 @@ def _mul_mm(store, at, aw, bt, bw):
         level = la if la >= lb else lb
         asucc = store.mat.succ[at] if la == level else identity_succ(at)
         bsucc = store.mat.succ[bt] if lb == level else identity_succ(bt)
-        edges = [ZERO_EDGE_M] * 4
+        edges = [ZERO_EDGE] * 4
         for i in (0, 1):
             for j in (0, 1):
                 eat, eaw = asucc[4 * i + 2 * j], asucc[4 * i + 2 * j + 1]
@@ -230,7 +237,7 @@ def _mul_mm(store, at, aw, bt, bw):
         r = make_matrix_node(store, level, edges)
         store.ct_insert(MUL_MM, key, r)
     w = wt.mul(wt.mul(aw, bw), r[1])
-    return ZERO_EDGE_M if w == ZERO else (r[0], w)
+    return ZERO_EDGE if w == ZERO else (r[0], w)
 
 
 def _add_m(store, a, b):
@@ -243,7 +250,7 @@ def _add_m(store, a, b):
     wt = store.weights
     if at == TERMINAL and bt == TERMINAL:
         w = wt.add(aw, bw)
-        return ZERO_EDGE_M if w == ZERO else (TERMINAL, w)
+        return ZERO_EDGE if w == ZERO else (TERMINAL, w)
     if (bt, bw) < (at, aw):
         at, aw, bt, bw = bt, bw, at, aw
     rel = wt.div(bw, aw)
@@ -261,9 +268,9 @@ def _add_m(store, a, b):
             ebw = bsucc[j + 1]
             if ebw != ZERO:
                 ebw = wt.mul(rel, ebw)
-            eb = (bsucc[j], ebw) if ebw != ZERO else ZERO_EDGE_M
+            eb = (bsucc[j], ebw) if ebw != ZERO else ZERO_EDGE
             edges.append(_add_m(store, ea, eb))
         r = make_matrix_node(store, level, edges)
         store.ct_insert(ADD_M, key, r)
     w = wt.mul(aw, r[1])
-    return ZERO_EDGE_M if w == ZERO else (r[0], w)
+    return ZERO_EDGE if w == ZERO else (r[0], w)

@@ -49,17 +49,17 @@ class SystemExit2(Exception):
     """Usage error raised after argument parsing."""
 
 
-def _parse_indices(text: str) -> list[int]:
+def _parse_indices(text: str, option: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise SystemExit2(f"bad --amplitudes list {text!r}") from exc
+        raise SystemExit2(f"bad {option} list {text!r}") from exc
 
 
 def _cmd_simulate(args) -> int:
     circuit = _load_circuit(args)
     store = NodeStore(circuit.n)
-    indices = _parse_indices(args.amplitudes) if args.amplitudes else []
+    indices = _parse_indices(args.amplitudes, "--amplitudes") if args.amplitudes else []
     if args.kind == "statevector":
         root, report = simulate_statevector(circuit, args.mode, store=store)
         dd_kind = VEC
@@ -132,7 +132,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = _parse_indices(args.qubits)
+    sizes = _parse_indices(args.qubits, "--qubits")
     if not sizes:
         raise SystemExit2("--qubits needs a comma-separated size list")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]

@@ -33,7 +33,11 @@ candidates in exactly the [1, 0, 0, 1] form the skip test looks for.
 
 GateSpec indices are DD levels (level 0 = bottom row, least-significant
 bit of entry indices). The circuit layer maps its wire numbering onto
-levels before reaching this module.
+levels before reaching this module. A GateSpec checks its base once,
+when it is made: a non-finite or non-unitary base raises ValueError
+there. GateSpec.validate(n), which make_gate_dd calls, checks only the
+levels against the qubit count. Matrix edges share the zero edge
+store.ZERO_EDGE with vector edges.
 
 Controls below the target and negative controls are supported by the
 same per-level rule as controls above it, with the active and inactive
@@ -47,10 +51,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .store import MODE_LEGACY, NodeStore, TERMINAL, ZERO_STUB
+from .store import MODE_LEGACY, NodeStore, TERMINAL, ZERO_EDGE, ZERO_STUB
 from .weights import ONE, ZERO
-
-ZERO_EDGE_M = (ZERO_STUB, ZERO)
 
 _UNITARY_TOL = 1e-10
 
@@ -59,8 +61,9 @@ _UNITARY_TOL = 1e-10
 class GateSpec:
     """A 2x2 base unitary, its target level, and optional control levels.
 
-    base is flat (u00, u01, u10, u11); controls holds (level, positive)
-    pairs, kept sorted.
+    base is flat (u00, u01, u10, u11) and must be finite and unitary,
+    which construction checks, so a GateSpec that exists has a valid
+    base; controls holds (level, positive) pairs, kept sorted.
     """
 
     base: tuple[complex, complex, complex, complex]
@@ -68,11 +71,23 @@ class GateSpec:
     controls: tuple[tuple[int, bool], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(complex(u) for u in self.base))
+        base = tuple(complex(u) for u in self.base)
+        if not all(cmath.isfinite(u) for u in base):
+            raise ValueError("gate base has a non-finite entry")
+        u00, u01, u10, u11 = base
+        if (
+            abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0) > _UNITARY_TOL
+            or abs(abs(u01) ** 2 + abs(u11) ** 2 - 1.0) > _UNITARY_TOL
+            or abs(u00.conjugate() * u01 + u10.conjugate() * u11) > _UNITARY_TOL
+        ):
+            raise ValueError("gate base is not unitary")
+        object.__setattr__(self, "base", base)
         ctrls = sorted((int(level), bool(pos)) for level, pos in self.controls)
         object.__setattr__(self, "controls", tuple(ctrls))
 
     def validate(self, n: int) -> None:
+        """Raise ValueError unless every gate level lies in [0, n) and none
+        is used twice."""
         if not 0 <= self.target < n:
             raise ValueError(f"target level {self.target} outside [0, {n})")
         seen = {self.target}
@@ -82,15 +97,6 @@ class GateSpec:
             if level in seen:
                 raise ValueError(f"qubit level {level} used twice in one gate")
             seen.add(level)
-        if not all(cmath.isfinite(u) for u in self.base):
-            raise ValueError("gate base has a non-finite entry")
-        u00, u01, u10, u11 = self.base
-        if (
-            abs(abs(u00) ** 2 + abs(u10) ** 2 - 1.0) > _UNITARY_TOL
-            or abs(abs(u01) ** 2 + abs(u11) ** 2 - 1.0) > _UNITARY_TOL
-            or abs(u00.conjugate() * u01 + u10.conjugate() * u11) > _UNITARY_TOL
-        ):
-            raise ValueError("gate base is not unitary")
 
 
 def identity_succ(t: int) -> tuple:
@@ -120,7 +126,7 @@ def make_matrix_node(store: NodeStore, level: int, succ) -> tuple:
     first successor returned with the normalization factor folded in."""
     (t0, w0), (t1, w1), (t2, w2), (t3, w3) = succ
     if w0 == ZERO and w1 == ZERO and w2 == ZERO and w3 == ZERO:
-        return ZERO_EDGE_M
+        return ZERO_EDGE
     wt = store.weights
     mag2 = wt.mag2
     mags = (mag2[w0], mag2[w1], mag2[w2], mag2[w3])
@@ -182,7 +188,7 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
     edges = []
     for u in spec.base:
         w = wt.intern(u.real, u.imag)
-        edges.append((ident, w) if w != ZERO else ZERO_EDGE_M)
+        edges.append((ident, w) if w != ZERO else ZERO_EDGE)
 
     if store.mode == MODE_LEGACY:
         levels = range(lowest, n)
@@ -200,8 +206,8 @@ def make_gate_dd(store: NodeStore, spec: GateSpec, n: int) -> tuple:
             # any other edge zero; a negative control swaps the slots
             ident = identity_chain(store, level - 1)
             for idx, e in enumerate(edges):
-                idle = ident if idx in (0, 3) else ZERO_EDGE_M
-                succ = (idle, ZERO_EDGE_M, ZERO_EDGE_M, e)
+                idle = ident if idx in (0, 3) else ZERO_EDGE
+                succ = (idle, ZERO_EDGE, ZERO_EDGE, e)
                 if not controls[level]:
                     succ = succ[::-1]
                 edges[idx] = make_matrix_node(store, level, succ)
@@ -250,12 +256,3 @@ def node_count(store: NodeStore, m: tuple) -> int:
     """Number of distinct nodes reachable from a matrix edge."""
     return len(store.mat.reachable(m[0]))
 
-
-def identity_node_ids(store: NodeStore) -> list[int]:
-    """Allocated matrix nodes that resemble identity; must be empty for
-    any new-mode store."""
-    return [
-        node
-        for node, _level, succ in store.mat.nodes()
-        if resembles_identity(*succ)
-    ]

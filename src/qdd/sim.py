@@ -94,8 +94,6 @@ def _simulate(
     the store already holds matrix nodes of the other mode."""
     n = circuit.n
     specs = circuit.to_specs()
-    for spec in specs:
-        spec.validate(n)
     if store is None:
         store = NodeStore(n)
     else:
@@ -116,9 +114,9 @@ def _simulate(
             gate = make_gate_dd(store, spec, n)
             store.inc_ref(MAT, gate)
             if vector:
-                new_root = multiply_mv(store, gate, root, top)
+                new_root = multiply_mv(store, gate, root)
             else:
-                new_root = multiply_mm(store, gate, root, top)
+                new_root = multiply_mm(store, gate, root)
             store.inc_ref(root_kind, new_root)
             store.dec_ref(root_kind, root)
             store.dec_ref(MAT, gate)

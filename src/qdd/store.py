@@ -16,8 +16,8 @@ kind raises StoreError. Two sentinel targets live below every level:
 
 An edge is a (target, weight-handle) pair. Successor tuples are stored
 flat, (t0, w0, t1, w1, ...), so unique-table keys hash fast. The zero
-edge is always (ZERO_STUB, weights.ZERO): a weight of ZERO never appears
-on any other target.
+edge of both node kinds is ZERO_EDGE = (ZERO_STUB, weights.ZERO): a
+weight of ZERO never appears on any other target.
 
 A store holds one representation, its mode:
 
@@ -60,10 +60,11 @@ from __future__ import annotations
 
 from array import array
 
-from .weights import WeightTable
+from .weights import ZERO, WeightTable
 
 TERMINAL = -1
 ZERO_STUB = -2
+ZERO_EDGE = (ZERO_STUB, ZERO)
 
 VEC = "v"
 MAT = "m"
@@ -168,12 +169,6 @@ class _Pool:
         self.allocated -= reclaimed
         self.pressure = False
         return reclaimed
-
-    def nodes(self):
-        """Yield (id, level, succ) for every allocated node."""
-        for node, succ in enumerate(self.succ):
-            if succ is not None:
-                yield node, self.level[node], succ
 
     def reachable(self, target: int) -> set[int]:
         """Ids of the nodes reachable from `target`, itself included."""

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .store import NodeStore, TERMINAL, ZERO_STUB
+from .store import NodeStore, TERMINAL, ZERO_EDGE, ZERO_STUB
 from .weights import ONE, ZERO
-
-ZERO_EDGE = (ZERO_STUB, ZERO)
 
 # Slack on |w0|^2+|w1|^2 under which renormalizing provably re-interns to
 # the same handles, so it can be skipped.
@@ -128,20 +126,3 @@ def node_count(store: NodeStore, v: tuple) -> int:
     """Number of distinct nodes reachable from a vector edge."""
     return len(store.vec.reachable(v[0]))
 
-
-def check_normalization(store: NodeStore, tolerance: float = 4e-13) -> list[int]:
-    """Ids of allocated vector nodes violating the local norm invariant."""
-    wt = store.weights
-    bad = []
-    for node, _level, succ in store.vec.nodes():
-        t0, w0, t1, w1 = succ
-        if w0 == ZERO and w1 == ZERO:
-            bad.append(node)
-            continue
-        if abs(wt.mag2[w0] + wt.mag2[w1] - 1.0) > tolerance:
-            bad.append(node)
-            continue
-        lead = wt.values[w0 if w0 != ZERO else w1]
-        if not (abs(lead.imag) <= tolerance and lead.real > 0.0):
-            bad.append(node)
-    return bad

@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from qdd import amplitude, make_vector_node, matrix_entry
-from qdd.vdd import ZERO_EDGE
-from qdd.store import TERMINAL
+from qdd.store import TERMINAL, ZERO_EDGE
 
 
 def apply_spec(state: np.ndarray, spec, n: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import dense
+from invariants import identity_node_ids
 from qdd import (
     GateSpec,
     NodeStore,
@@ -28,7 +29,6 @@ from qdd import (
     simulate_unitary,
 )
 from qdd.cli import main
-from qdd.mdd import identity_node_ids
 from qdd.store import VEC
 from qdd.vdd import make_basis_state
 from qdd.arith import add_vectors, multiply_mv
@@ -224,7 +224,7 @@ def test_criterion_8_randomized_canonicity_and_gc_soundness():
                 both(lambda s, p: push(s, p, make_basis_state(s, n, bits)))
             elif choice == 1 and len(pools[id(with_gc)]) >= 2:
                 i, j = rng.integers(len(pools[id(with_gc)]), size=2)
-                both(lambda s, p: push(s, p, add_vectors(s, p[int(i)], p[int(j)], n - 1)))
+                both(lambda s, p: push(s, p, add_vectors(s, p[int(i)], p[int(j)])))
             else:
                 theta = float(rng.uniform(0, 2 * np.pi))
                 c, s_ = math.cos(theta / 2), math.sin(theta / 2)
@@ -237,7 +237,7 @@ def test_criterion_8_randomized_canonicity_and_gc_soundness():
                 def apply(store, pool):
                     gate = make_gate_dd(store, spec, n)
                     store.inc_ref("m", gate)
-                    out = multiply_mv(store, gate, pool[i], n - 1)
+                    out = multiply_mv(store, gate, pool[i])
                     store.dec_ref("m", gate)
                     push(store, pool, out)
 

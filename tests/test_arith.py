@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dense import build_vdd, random_state, read_matrix, read_state, simulate, spec_matrix
+from invariants import identity_node_ids
 from qdd import (
     Circuit,
     GateSpec,
@@ -21,9 +22,7 @@ from qdd import (
     vnorm2,
 )
 from qdd.arith import _add_m
-from qdd.mdd import ZERO_EDGE_M, identity_node_ids
-from qdd.store import MUL_MV, StoreError, TERMINAL
-from qdd.vdd import ZERO_EDGE
+from qdd.store import MUL_MV, StoreError, TERMINAL, ZERO_EDGE
 from qdd.weights import ONE
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -41,9 +40,9 @@ def test_bell_preparation(store):
     # two-gate flow onto |00>: H on the top level, then the downward cnot
     state = make_basis_state(store, 2, "00")
     h = make_gate_dd(store, GateSpec(H, 1), 2)
-    state = multiply_mv(store, h, state, 1)
+    state = multiply_mv(store, h, state)
     cx = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2)
-    state = multiply_mv(store, cx, state, 1)
+    state = multiply_mv(store, cx, state)
     got = read_state(store, state, 2)
     assert np.abs(got - np.array([SQ2, 0, 0, SQ2])).max() < 1e-12
 
@@ -51,7 +50,7 @@ def test_bell_preparation(store):
 def test_terminal_matrix_edge_is_scaled_identity(store):
     state = make_basis_state(store, 4, "0110")
     half = store.weights.intern(0.5, 0.0)
-    scaled = multiply_mv(store, (TERMINAL, half), state, 3)
+    scaled = multiply_mv(store, (TERMINAL, half), state)
     assert scaled[0] == state[0]
     assert abs(store.weights.value(scaled[1]) - 0.5) < 1e-13
 
@@ -65,9 +64,9 @@ def test_skip_region_memoized_per_vector_node():
     store = NodeStore(n)
     state = make_basis_state(store, n, "0" * n)
     for level in range(n):
-        state = multiply_mv(store, make_gate_dd(store, GateSpec(H, level), n), state, n - 1)
+        state = multiply_mv(store, make_gate_dd(store, GateSpec(H, level), n), state)
     created = store.vec.created
-    state = multiply_mv(store, make_gate_dd(store, GateSpec(Z, 0), n), state, n - 1)
+    state = multiply_mv(store, make_gate_dd(store, GateSpec(Z, 0), n), state)
     assert store.vec.created - created == n
     assert abs(amplitude(store, state, 0) - 2.0**-32) < 1e-22
     assert abs(amplitude(store, state, 2**n - 1) + 2.0**-32) < 1e-22
@@ -77,7 +76,7 @@ def test_skip_region_memoized_per_vector_node():
     before = [amplitude(store, state, i) for i in indices]
     created = store.vec.created
     cs = make_gate_dd(store, GateSpec((1, 0, 0, 1j), n - 1, ((0, True),)), n)
-    state = multiply_mv(store, cs, state, n - 1)
+    state = multiply_mv(store, cs, state)
     assert store.vec.created - created == n
     for i, amp in zip(indices, before):
         assert amplitude(store, state, i) == (amp * 1j if i >= top and i & 1 else amp)
@@ -111,7 +110,7 @@ def test_single_node_gate_on_100_qubits():
     n10 = NodeStore(10)
     state = make_basis_state(n10, 10, "0" * 10)
     h = make_gate_dd(n10, GateSpec(H, 0), 10)
-    state = multiply_mv(n10, h, state, 9)
+    state = multiply_mv(n10, h, state)
     dense_c = Circuit(10, name="h0")
     dense_c.add("h", 9)  # wire 9 = level 0
     assert np.abs(read_state(n10, state, 10) - simulate(dense_c)).max() < 1e-12
@@ -119,7 +118,7 @@ def test_single_node_gate_on_100_qubits():
     big = NodeStore(100)
     state = make_basis_state(big, 100, "0" * 100)
     h = make_gate_dd(big, GateSpec(H, 0), 100)
-    state = multiply_mv(big, h, state, 99)
+    state = multiply_mv(big, h, state)
     from qdd import amplitude
 
     assert abs(amplitude(big, state, 0) - SQ2) < 1e-12
@@ -128,45 +127,52 @@ def test_single_node_gate_on_100_qubits():
 
 
 def test_multiply_level_mismatch_rejected(store):
-    state = make_basis_state(store, 3, "000")
-    gate = make_gate_dd(store, GateSpec(X, 0), 3)
-    with pytest.raises(StoreError):
-        multiply_mv(store, gate, state, 1)
+    # a gate on level 2 is rooted above a 2-qubit state (root level 1)
+    state = make_basis_state(store, 2, "00")
+    gate = make_gate_dd(store, GateSpec(X, 2), 3)
+    with pytest.raises(StoreError, match="matrix rooted above the vector's level 1"):
+        multiply_mv(store, gate, state)
 
 
 def test_multiply_terminal_vector_rejected():
-    # vectors never skip levels: a terminal edge at level 0 is not a state
+    # a terminal vector edge reads as level -1, below every matrix node
     store = NodeStore(3)
     make_basis_state(store, 3, "000")
     gate = make_gate_dd(store, GateSpec(X, 0), 3)
-    with pytest.raises(StoreError, match="expected a node at level 0"):
-        multiply_mv(store, gate, (TERMINAL, ONE), 0)
+    with pytest.raises(StoreError, match="matrix rooted above the vector's level -1"):
+        multiply_mv(store, gate, (TERMINAL, ONE))
 
 
 def test_add_terminal_vectors_rejected():
+    # a terminal edge added to a node is rejected; two terminal edges are
+    # 0-level states and add as scalars
     store = NodeStore(3)
-    with pytest.raises(StoreError, match="expected a node at level 2"):
-        add_vectors(store, (TERMINAL, ONE), (TERMINAL, ONE), 2)
+    state = make_basis_state(store, 3, "000")
+    for a, b in (((TERMINAL, ONE), state), (state, (TERMINAL, ONE))):
+        with pytest.raises(StoreError, match="vectors rooted at levels"):
+            add_vectors(store, a, b)
+    half = store.weights.intern(0.5)
+    assert add_vectors(store, (TERMINAL, half), (TERMINAL, half)) == (TERMINAL, ONE)
 
 
 def test_zero_operands(store):
     state = make_basis_state(store, 3, "000")
     gate = make_gate_dd(store, GateSpec(X, 1), 3)
-    assert multiply_mv(store, gate, ZERO_EDGE, 2) == ZERO_EDGE
-    assert multiply_mv(store, ZERO_EDGE_M, state, 2) == ZERO_EDGE
+    assert multiply_mv(store, gate, ZERO_EDGE) == ZERO_EDGE
+    assert multiply_mv(store, ZERO_EDGE, state) == ZERO_EDGE
 
 
 def test_add_vectors_zero_neutral(store):
     v = make_basis_state(store, 3, "010")
-    assert add_vectors(store, v, ZERO_EDGE, 2) == v
-    assert add_vectors(store, ZERO_EDGE, v, 2) == v
+    assert add_vectors(store, v, ZERO_EDGE) == v
+    assert add_vectors(store, ZERO_EDGE, v) == v
 
 
 def test_add_vectors_builds_bell(store):
     a = make_basis_state(store, 2, "00")
     b = make_basis_state(store, 2, "11")
     half = store.weights.intern(SQ2, 0.0)
-    bell = add_vectors(store, (a[0], half), (b[0], half), 1)
+    bell = add_vectors(store, (a[0], half), (b[0], half))
     got = read_state(store, bell, 2)
     assert np.abs(got - np.array([SQ2, 0, 0, SQ2])).max() < 1e-12
 
@@ -180,8 +186,8 @@ def test_add_vectors_commutes(n):
     vb = random_state(n, rng)
     ea = build_vdd(store, va)
     eb = build_vdd(store, vb)
-    ab = add_vectors(store, ea, eb, n - 1)
-    ba = add_vectors(store, eb, ea, n - 1)
+    ab = add_vectors(store, ea, eb)
+    ba = add_vectors(store, eb, ea)
     assert ab[0] == ba[0]
     assert np.abs(read_state(store, ab, n) - (va + vb)).max() < 1e-10
 
@@ -190,7 +196,7 @@ def test_multiply_mm_bell_unitary(store):
     # whole-circuit operator: rows (1 0 1 0; 0 1 0 1; 0 1 0 -1; 1 0 -1 0)/sqrt2
     h = make_gate_dd(store, GateSpec(H, 1), 2)
     cx = make_gate_dd(store, GateSpec(X, 0, ((1, True),)), 2)
-    u = multiply_mm(store, cx, h, 1)
+    u = multiply_mm(store, cx, h)
     expect = np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=complex
     ) * SQ2
@@ -200,7 +206,7 @@ def test_multiply_mm_bell_unitary(store):
 def test_x_squared_is_identity_no_nodes(store):
     x = make_gate_dd(store, GateSpec(X, 4), 12)
     created = store.mat.created
-    prod = multiply_mm(store, x, x, 11)
+    prod = multiply_mm(store, x, x)
     assert prod == (TERMINAL, ONE)
     assert store.mat.created == created
 
@@ -216,7 +222,7 @@ def test_product_with_adjoint_is_identity(n):
     acc = (TERMINAL, ONE)
     for spec in specs:
         g = make_gate_dd(store, spec, n)
-        acc = multiply_mm(store, g, acc, n - 1)
+        acc = multiply_mm(store, g, acc)
     dense = np.eye(1 << n, dtype=complex)
     for spec in specs:
         dense = spec_matrix(spec, n) @ dense
@@ -230,16 +236,16 @@ def test_product_with_adjoint_is_identity(n):
             spec.controls,
         )
         g = make_gate_dd(store, dag, n)
-        adj = multiply_mm(store, adj, g, n - 1)
-    prod = multiply_mm(store, acc, adj, n - 1)
+        adj = multiply_mm(store, adj, g)
+    prod = multiply_mm(store, acc, adj)
     got = read_matrix(store, prod, n)
     assert np.abs(got - np.eye(1 << n)).max() < 1e-10
 
 
 def test_add_matrices_zero_neutral(store):
     m = make_gate_dd(store, GateSpec(H, 2), 5)
-    assert _add_m(store, m, ZERO_EDGE_M) == m
-    assert _add_m(store, ZERO_EDGE_M, m) == m
+    assert _add_m(store, m, ZERO_EDGE) == m
+    assert _add_m(store, ZERO_EDGE, m) == m
 
 
 def test_add_matrices_operands_at_different_levels(store):
@@ -262,18 +268,19 @@ def test_add_matrices_identity_absorption(store):
 
 def test_cnot_from_projector_sum(store):
     # oracle: the dense 4x4 sum equals the controlled-not block matrix
-    p0 = GateSpec((1, 0, 0, 0), 1)  # |0><0| on the control level
-    p1 = GateSpec((0, 0, 0, 1), 1)
-    with pytest.raises(ValueError):
-        p0.validate(2)  # projectors are not unitary gates
+    # projectors are not unitary gates
+    with pytest.raises(ValueError, match="not unitary"):
+        GateSpec((1, 0, 0, 0), 1)  # |0><0| on the control level
+    with pytest.raises(ValueError, match="not unitary"):
+        GateSpec((0, 0, 0, 1), 1)
 
     # build the projector DDs directly instead
     from qdd.mdd import make_matrix_node
 
     # |0><0| (x) I: the terminal quadrant already reads as identity below
-    lhs = make_matrix_node(store, 1, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M])
+    lhs = make_matrix_node(store, 1, [(TERMINAL, ONE), ZERO_EDGE, ZERO_EDGE, ZERO_EDGE])
     x0 = make_gate_dd(store, GateSpec(X, 0), 1)
-    rhs = make_matrix_node(store, 1, [ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M, x0])
+    rhs = make_matrix_node(store, 1, [ZERO_EDGE, ZERO_EDGE, ZERO_EDGE, x0])
     cnot = _add_m(store, lhs, rhs)
     dense = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     assert np.abs(read_matrix(store, cnot, 2) - dense).max() < 1e-12
@@ -291,13 +298,8 @@ def test_distributivity(n):
     gate = make_gate_dd(store, spec, n)
     x = build_vdd(store, random_state(n, rng))
     y = build_vdd(store, random_state(n, rng))
-    lhs = multiply_mv(store, gate, add_vectors(store, x, y, n - 1), n - 1)
-    rhs = add_vectors(
-        store,
-        multiply_mv(store, gate, x, n - 1),
-        multiply_mv(store, gate, y, n - 1),
-        n - 1,
-    )
+    lhs = multiply_mv(store, gate, add_vectors(store, x, y))
+    rhs = add_vectors(store, multiply_mv(store, gate, x), multiply_mv(store, gate, y))
     assert np.abs(read_state(store, lhs, n) - read_state(store, rhs, n)).max() < 1e-10
 
 
@@ -310,7 +312,7 @@ def test_norm_preserved_through_gates(store):
     state = make_basis_state(sub, n, "0" * n)
     for spec in _random_specs(rng, n, 25):
         gate = make_gate_dd(sub, spec, n)
-        state = multiply_mv(sub, gate, state, n - 1)
+        state = multiply_mv(sub, gate, state)
         assert abs(vnorm2(sub, state) - 1.0) < 1e-9
 
 
@@ -324,6 +326,6 @@ def test_new_mode_arithmetic_leaves_no_identity_nodes():
     acc = (TERMINAL, ONE)
     for spec in _random_specs(rng, n, 20):
         gate = make_gate_dd(store, spec, n)
-        state = multiply_mv(store, gate, state, n - 1)
-        acc = multiply_mm(store, gate, acc, n - 1)
+        state = multiply_mv(store, gate, state)
+        acc = multiply_mm(store, gate, acc)
     assert identity_node_ids(store) == []

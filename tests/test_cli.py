@@ -124,6 +124,14 @@ def test_bench_without_modes_is_usage_error(tmp_path, capsys):
     assert not json_path.exists()
 
 
+def test_bench_bad_qubits_names_the_option(capsys):
+    code = main(["bench", "--benchmark", "ghz", "--qubits", "4,x"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "bad --qubits list '4,x'" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-3"])
 def test_compare_rejects_bad_tolerance(tolerance, capsys):
     # one token, so argparse does not read "-1e-3" as an option

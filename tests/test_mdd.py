@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from dense import read_matrix, spec_matrix
+from invariants import identity_node_ids, nodes
 from qdd import GateSpec, NodeStore, gen_qft, make_gate_dd, make_matrix_node, matrix_entry
-from qdd.mdd import ZERO_EDGE_M, identity_chain, identity_node_ids, node_count, resembles_identity
-from qdd.store import MAT, TERMINAL, ZERO_STUB
+from qdd.mdd import identity_chain, node_count, resembles_identity
+from qdd.store import MAT, TERMINAL, ZERO_EDGE, ZERO_STUB
 from qdd.weights import ONE, ZERO
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -30,40 +31,40 @@ def legacy_store():
 
 
 def test_resembles_identity_true_case(legacy_store):
-    e = make_matrix_node(legacy_store, 0, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, (TERMINAL, ONE)])
-    assert resembles_identity(*e, *ZERO_EDGE_M, *ZERO_EDGE_M, *e)
+    e = make_matrix_node(legacy_store, 0, [(TERMINAL, ONE), ZERO_EDGE, ZERO_EDGE, (TERMINAL, ONE)])
+    assert resembles_identity(*e, *ZERO_EDGE, *ZERO_EDGE, *e)
 
 
 def test_resembles_identity_x_tuple(store):
-    succ = (*ZERO_EDGE_M, TERMINAL, ONE, TERMINAL, ONE, *ZERO_EDGE_M)
+    succ = (*ZERO_EDGE, TERMINAL, ONE, TERMINAL, ONE, *ZERO_EDGE)
     assert not resembles_identity(*succ)
 
 
 def test_resembles_identity_distinct_targets(store):
-    a = make_matrix_node(store, 0, [(TERMINAL, ONE), ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M])
-    b = make_matrix_node(store, 0, [ZERO_EDGE_M, ZERO_EDGE_M, ZERO_EDGE_M, (TERMINAL, ONE)])
-    assert not resembles_identity(*a, *ZERO_EDGE_M, *ZERO_EDGE_M, *b)
+    a = make_matrix_node(store, 0, [(TERMINAL, ONE), ZERO_EDGE, ZERO_EDGE, ZERO_EDGE])
+    b = make_matrix_node(store, 0, [ZERO_EDGE, ZERO_EDGE, ZERO_EDGE, (TERMINAL, ONE)])
+    assert not resembles_identity(*a, *ZERO_EDGE, *ZERO_EDGE, *b)
 
 
 def test_make_matrix_node_strips_identity_in_new_mode(store):
-    inner = make_matrix_node(store, 2, [ZERO_EDGE_M, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE_M])
+    inner = make_matrix_node(store, 2, [ZERO_EDGE, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE])
     created = store.mat.created
-    edge = make_matrix_node(store, 5, [inner, ZERO_EDGE_M, ZERO_EDGE_M, inner])
+    edge = make_matrix_node(store, 5, [inner, ZERO_EDGE, ZERO_EDGE, inner])
     assert edge == inner
     assert store.mat.created == created
 
 
 def test_make_matrix_node_keeps_identity_in_legacy_mode(legacy_store):
-    inner = make_matrix_node(legacy_store, 2, [ZERO_EDGE_M, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE_M])
+    inner = make_matrix_node(legacy_store, 2, [ZERO_EDGE, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE])
     created = legacy_store.mat.created
-    edge = make_matrix_node(legacy_store, 5, [inner, ZERO_EDGE_M, ZERO_EDGE_M, inner])
+    edge = make_matrix_node(legacy_store, 5, [inner, ZERO_EDGE, ZERO_EDGE, inner])
     assert edge != inner
     assert legacy_store.mat.level[edge[0]] == 5
     assert legacy_store.mat.created == created + 1
 
 
 def test_all_zero_successors(store):
-    assert make_matrix_node(store, 3, [ZERO_EDGE_M] * 4) == ZERO_EDGE_M
+    assert make_matrix_node(store, 3, [ZERO_EDGE] * 4) == ZERO_EDGE
 
 
 def test_weight_zeroed_by_normalization_gets_stub(store):
@@ -71,8 +72,8 @@ def test_weight_zeroed_by_normalization_gets_stub(store):
     wt = store.weights
     two = (TERMINAL, wt.intern(2.0))
     minus_two = (TERMINAL, wt.intern(-2.0))
-    tiny = make_matrix_node(store, 0, [two, (TERMINAL, wt.intern(1.5e-13)), ZERO_EDGE_M, minus_two])
-    exact = make_matrix_node(store, 0, [two, ZERO_EDGE_M, ZERO_EDGE_M, minus_two])
+    tiny = make_matrix_node(store, 0, [two, (TERMINAL, wt.intern(1.5e-13)), ZERO_EDGE, minus_two])
+    exact = make_matrix_node(store, 0, [two, ZERO_EDGE, ZERO_EDGE, minus_two])
     assert tiny == exact
     assert store.mat.succ[tiny[0]][2:4] == (ZERO_STUB, ZERO)
 
@@ -93,7 +94,7 @@ def test_cnot_new_mode_two_nodes(store):
     assert store.mat.created == 2
     assert store.mat.level[edge[0]] == 99
     # second node is the X at level 0
-    levels = sorted(level for _n, level, _s in store.mat.nodes())
+    levels = sorted(level for _n, level, _s in nodes(store.mat))
     assert levels == [0, 99]
 
 
@@ -131,9 +132,9 @@ def test_gate_spec_validation():
     with pytest.raises(ValueError):
         GateSpec(X, 99).validate(8)
     with pytest.raises(ValueError):
-        GateSpec((1, 0, 0, 2), 0).validate(8)  # not unitary
+        GateSpec((1, 0, 0, 2), 0)  # not unitary
     with pytest.raises(ValueError):
-        GateSpec((math.nan, 0, 0, 1), 0).validate(8)  # every unitarity test is False on NaN
+        GateSpec((math.nan, 0, 0, 1), 0)  # every unitarity test is False on NaN
 
 
 @pytest.mark.parametrize(
@@ -318,17 +319,17 @@ def _reference_gate_dd(store, spec, n):
     no identity table: every level, padding included, is normalized."""
 
     def diag(level, a, b):
-        return make_matrix_node(store, level, (a, ZERO_EDGE_M, ZERO_EDGE_M, b))
+        return make_matrix_node(store, level, (a, ZERO_EDGE, ZERO_EDGE, b))
 
     wt = store.weights
     quads = []
     for u in spec.base:
         w = wt.intern(u.real, u.imag)
-        quads.append((TERMINAL, w) if w != ZERO else ZERO_EDGE_M)
+        quads.append((TERMINAL, w) if w != ZERO else ZERO_EDGE)
     controls = dict(spec.controls)
     ident = (TERMINAL, ONE)  # I_(level-1)
     for level in range(spec.target):
-        diags = (ident, ZERO_EDGE_M, ZERO_EDGE_M, ident)
+        diags = (ident, ZERO_EDGE, ZERO_EDGE, ident)
         if level not in controls:
             quads = [diag(level, q, q) for q in quads]
         elif controls[level]:

@@ -16,9 +16,10 @@ from qdd.store import (
     StoreError,
     TERMINAL,
     VEC,
+    ZERO_EDGE,
     ZERO_STUB,
 )
-from qdd.vdd import ZERO_EDGE, amplitude, make_vector_node
+from qdd.vdd import amplitude, make_vector_node
 from qdd.weights import ONE, ZERO
 
 X = (0, 1, 1, 0)
@@ -312,9 +313,9 @@ def test_repeated_multiply_hits_cache_at_top():
         return gates(store)[0], states(store)[0]
 
     cases = [
-        ("multiply_mv", mv, lambda s, a, b: multiply_mv(s, a, b, 3), 0.25),
-        ("add_vectors", states, lambda s, a, b: add_vectors(s, a, b, 3), 0.5),
-        ("multiply_mm", gates, lambda s, a, b: multiply_mm(s, a, b, 3), 0.25),
+        ("multiply_mv", mv, multiply_mv, 0.25),
+        ("add_vectors", states, add_vectors, 0.5),
+        ("multiply_mm", gates, multiply_mm, 0.25),
         ("_add_m", gates, _add_m, 0.5),
     ]
     for name, operands, op, factor in cases:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from dense import build_vdd, random_state, read_state
+from invariants import check_normalization
 from qdd import NodeStore, add_vectors, amplitude, make_basis_state, make_vector_node, vnorm2
-from qdd.store import TERMINAL, ZERO_STUB
-from qdd.vdd import ZERO_EDGE, check_normalization, node_count
+from qdd.store import TERMINAL, ZERO_EDGE, ZERO_STUB
+from qdd.vdd import node_count
 from qdd.weights import ONE, ZERO
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -106,7 +107,7 @@ def bell_edge(store):
     a = make_basis_state(store, 2, "00")
     b = make_basis_state(store, 2, "11")
     half = store.weights.intern(SQ2, 0.0)
-    return add_vectors(store, (a[0], half), (b[0], half), 1)
+    return add_vectors(store, (a[0], half), (b[0], half))
 
 
 def test_bell_amplitudes(store):
@@ -182,7 +183,7 @@ def test_construction_order_canonicity(n):
     mask[: vec.size // 2] = 1.0
     p1 = build_vdd(store, vec * mask)
     p2 = build_vdd(store, vec * (1.0 - mask))
-    summed = add_vectors(store, p1, p2, n - 1)
+    summed = add_vectors(store, p1, p2)
     assert summed[0] == e1[0]
 
 
