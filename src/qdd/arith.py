@@ -34,6 +34,13 @@ the product only rebuilds the paths of the vector down to the next
 matrix node. Each such run of levels is memoized per call, in a dict
 made where the run is entered and keyed by vector node, and counts as
 no compute-table lookup; the table is consulted only at matrix nodes.
+A rebuilt node whose two result edges carry the weights of the input
+node (every node of a skip region, most nodes of a gate) needs no
+normalizing: those weights are a stored node's, and every stored node is
+a fixed point of vdd.make_vector_node, so the result is the unique-table
+node over the new targets with weight ONE (the input node itself when
+the targets are unchanged too). Only a node whose weights changed is
+normalized.
 There the product is written out per quadrant: row i of the result is
 u(2i)*v0 + u(2i+1)*v1, and the four products and two sums run in that
 fixed order, which fixes the order in which nodes and weights are
@@ -65,28 +72,31 @@ def multiply_mv(store: NodeStore, u: tuple, v: tuple) -> tuple:
     return _mul_mv(store, ut, u[1], v[0], v[1], level)
 
 
-def _mul_mv_skip(store, ut, ulevel, vt, vw, level, memo):
-    """U*v for a nonzero vector edge at `level` above ulevel, the root level
+def _mul_mv_skip(store, ut, stop, vt, vw, level, memo):
+    """U*v for a nonzero vector edge at `level` above `stop`, the root level
     of matrix node ut: every run of levels where the matrix is identity,
     above the gate root or inside the gate. The levels in between only
-    rebuild the paths of the vector down to ulevel, so each vector node
+    rebuild the paths of the vector down to `stop`, so each vector node
     has one result for the run; memo holds them by vt (without it a state
     like H^n would take 2^level paths)."""
     r = memo.get(vt)
     if r is None:
         t0, w0, t1, w1 = store.vec.succ[vt]
         below = level - 1
-        if below == ulevel:
-            e0 = ZERO_EDGE if w0 == ZERO else _mul_mv(store, ut, ONE, t0, w0, below)
-            e1 = ZERO_EDGE if w1 == ZERO else _mul_mv(store, ut, ONE, t1, w1, below)
+        if below == stop:
+            x0, v0 = ZERO_EDGE if w0 == ZERO else _mul_mv(store, ut, ONE, t0, w0, below)
+            x1, v1 = ZERO_EDGE if w1 == ZERO else _mul_mv(store, ut, ONE, t1, w1, below)
         else:
-            e0 = ZERO_EDGE if w0 == ZERO else _mul_mv_skip(store, ut, ulevel, t0, w0, below, memo)
-            e1 = ZERO_EDGE if w1 == ZERO else _mul_mv_skip(store, ut, ulevel, t1, w1, below, memo)
-        if e0[0] == t0 and e0[1] == w0 and e1[0] == t1 and e1[1] == w1:
+            x0, v0 = ZERO_EDGE if w0 == ZERO else _mul_mv_skip(store, ut, stop, t0, w0, below, memo)
+            x1, v1 = ZERO_EDGE if w1 == ZERO else _mul_mv_skip(store, ut, stop, t1, w1, below, memo)
+        if v0 != w0 or v1 != w1:
+            r = make_vector_node(store, level, (x0, v0), (x1, v1))
+        elif x0 == t0 and x1 == t1:
             # children untouched: the stored node is already the result
             r = (vt, ONE)
         else:
-            r = make_vector_node(store, level, e0, e1)
+            # new targets under vt's own weights, which need no normalizing
+            r = (store.vec.lookup(level, (x0, w0, x1, w1)), ONE)
         memo[vt] = r
     rw = r[1]
     if rw == ONE:
@@ -139,7 +149,10 @@ def _mul_mv(store, ut, uw, vt, vw, level):
                 e1 = m
             elif m[1] != ZERO:
                 e1 = _add_v(store, e1, m, below)
-        r = make_vector_node(store, level, e0, e1)
+        if e0[1] == v0w and e1[1] == v1w:  # vt's own weights: no normalizing
+            r = (store.vec.lookup(level, (e0[0], v0w, e1[0], v1w)), ONE)
+        else:
+            r = make_vector_node(store, level, e0, e1)
         store.ct_insert(MUL_MV, key, r)
     rw = r[1]
     if rw == ZERO:

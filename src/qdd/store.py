@@ -5,7 +5,10 @@ pools of one shape, store.vec and store.mat. A pool holds the per-level
 unique tables, the level, successor tuple and reference count of each
 node, a free list and the node-GC pressure state; node handles are plain
 ints with one id space per pool. One method, lookup(level, succ), finds
-or inserts a node of either kind. inc_ref and dec_ref are one refcount
+or inserts a node of either kind; it counts only its hits, and sweep
+the nodes it frees. The other counters follow from these and the node
+lists: allocated is the ids in use, created is allocated plus reclaimed,
+and lookups is hits plus created. inc_ref and dec_ref are one refcount
 walk, stepping by +1 or -1; it takes a kind, VEC or MAT, and runs one
 loop per arity, so no per-node step dispatches on the kind; any other
 kind raises StoreError. Two sentinel targets live below every level:
@@ -103,7 +106,7 @@ class _Pool:
     level, and the counters and thresholds of node GC."""
 
     __slots__ = (
-        "level", "succ", "ref", "free", "tables", "lookups", "created", "allocated",
+        "level", "succ", "ref", "free", "tables", "hits", "reclaimed",
         "table_limit", "global_limit", "pressure",
     )
 
@@ -115,11 +118,10 @@ class _Pool:
         self.ref: list[int] = []
         self.free: list[int] = []
         self.tables: list[dict] = [dict() for _ in range(num_levels)]
-        # lookups: unique-table lookups, ever; created: insertions, ever;
-        # allocated: nodes held now, referenced or not
-        self.lookups = 0
-        self.created = 0
-        self.allocated = 0
+        # hits: lookups that found their node, ever; reclaimed: nodes swept,
+        # ever. The other counters follow from these (see the properties).
+        self.hits = 0
+        self.reclaimed = 0
         self.table_limit = TABLE_GC_THRESHOLD
         self.global_limit = GLOBAL_GC_THRESHOLD
         self.pressure = False
@@ -128,9 +130,9 @@ class _Pool:
         """Canonical node for a flat successor tuple (t0, w0, t1, w1, ...);
         inserts it if absent."""
         table = self.tables[level]
-        self.lookups += 1
         node = table.get(succ)
         if node is not None:
+            self.hits += 1
             return node
         levels = self.level
         for t in succ[::2]:
@@ -148,11 +150,24 @@ class _Pool:
             self.succ.append(succ)
             self.ref.append(0)
         table[succ] = node
-        self.created += 1
-        self.allocated += 1
-        if len(table) > self.table_limit or self.allocated > self.global_limit:
+        if len(table) > self.table_limit or len(levels) - len(free) > self.global_limit:
             self.pressure = True
         return node
+
+    @property
+    def allocated(self) -> int:
+        """Nodes held now, referenced or not."""
+        return len(self.level) - len(self.free)
+
+    @property
+    def created(self) -> int:
+        """Nodes inserted, ever."""
+        return self.allocated + self.reclaimed
+
+    @property
+    def lookups(self) -> int:
+        """Unique-table lookups, ever."""
+        return self.hits + self.created
 
     def sweep(self) -> int:
         """Free every unreferenced node; returns the number freed."""
@@ -166,7 +181,7 @@ class _Pool:
             succs[node] = None
             free.append(node)
             reclaimed += 1
-        self.allocated -= reclaimed
+        self.reclaimed += reclaimed
         self.pressure = False
         return reclaimed
 
@@ -198,6 +213,9 @@ class NodeStore:
         self.mat = _Pool(num_levels)
         # Legacy identity edges I_0 .. I_k by top level (see mdd.identity_chain).
         self.identity_m: list[tuple] = []
+        # Weight pairs vdd.make_vector_node made that its numeric test for a
+        # normalized pair may refuse (see there).
+        self.normal_pairs: set[tuple[int, int]] = set()
 
         # peak_live: the most nodes referenced at once, both kinds together
         self._ref_live = 0

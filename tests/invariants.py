@@ -6,8 +6,8 @@ internals directly: a pool's `succ` list holds None for a swept id.
 
 from __future__ import annotations
 
-from qdd import resembles_identity
-from qdd.weights import ZERO
+from qdd import make_vector_node, resembles_identity
+from qdd.weights import ONE, ZERO
 
 
 def nodes(pool):
@@ -33,6 +33,17 @@ def check_normalization(store, tolerance: float = 4e-13) -> list[int]:
         if not (abs(lead.imag) <= tolerance and lead.real > 0.0):
             bad.append(node)
     return bad
+
+
+def check_fixed_points(store) -> list[int]:
+    """Ids of allocated vector nodes that normalization does not hand back
+    unchanged: make_vector_node on a node's own successors must return the
+    node with weight ONE, whatever the successors' targets."""
+    return [
+        node
+        for node, level, (t0, w0, t1, w1) in list(nodes(store.vec))
+        if make_vector_node(store, level, (t0, w0), (t1, w1)) != (node, ONE)
+    ]
 
 
 def identity_node_ids(store) -> list[int]:

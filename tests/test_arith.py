@@ -13,6 +13,7 @@ from qdd import (
     NodeStore,
     add_vectors,
     amplitude,
+    gen_ghz,
     gen_qft,
     make_basis_state,
     make_gate_dd,
@@ -103,6 +104,38 @@ def test_compute_table_consulted_only_at_matrix_nodes(monkeypatch):
     simulate_statevector(circuit, "new", store=store)
     assert keys
     assert all(store.mat.level[ut] == store.vec.level[vt] for ut, vt in keys)
+
+
+def test_retargeted_node_skips_normalization(monkeypatch):
+    # a rebuilt vector node that keeps its weights goes straight to the
+    # unique table: on GHZ-64 only the node a gate changes is normalized,
+    # and the same nodes are found and created as by normalizing each
+    import qdd.arith
+    import qdd.sim
+
+    calls = []
+    make_node = qdd.arith.make_vector_node
+    multiply = qdd.sim.multiply_mv
+
+    def counting_make_node(*args):
+        calls.append(args)
+        return make_node(*args)
+
+    per_gate = []
+
+    def counting_multiply(*args):
+        before = len(calls)
+        result = multiply(*args)
+        per_gate.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(qdd.arith, "make_vector_node", counting_make_node)
+    monkeypatch.setattr(qdd.sim, "multiply_mv", counting_multiply)
+    store = NodeStore(64)
+    simulate_statevector(gen_ghz(64), "new", store=store)
+    assert len(per_gate) == 64
+    assert max(per_gate) <= 1
+    assert (store.vec.created, store.vec.lookups) == (2144, 2206)
 
 
 def test_single_node_gate_on_100_qubits():

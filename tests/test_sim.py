@@ -326,16 +326,26 @@ def test_node_counts_pinned(case, mode, pinned):
     assert got == pinned
 
 
-def _qpe_blowup(n: int, new: int, legacy: int):
-    reason = f"rounding noise: QPE-{n} ends at {new} nodes in new mode, {legacy} in legacy"
+def _qpe_blowup(n: int, nodes: int):
+    reason = f"rounding noise: QPE-{n} ends at {nodes} nodes in both modes"
     return pytest.param(n, marks=pytest.mark.xfail(strict=True, reason=reason))
 
 
-# QPE of a dyadic phase ends in exactly one basis state, a chain of n
-# nodes; from 11 qubits on, rounding noise turns into extra nodes
-@pytest.mark.parametrize("mode", ["new", "legacy"])
-@pytest.mark.parametrize("n", [*range(2, 11), _qpe_blowup(11, 305, 167), _qpe_blowup(12, 398, 517)])
-def test_qpe_final_state_is_one_chain(n, mode):
+def _qpe_final_nodes(n: int, mode: str) -> int:
     store = NodeStore(n)
     state, _report = simulate_statevector(generate("qpe", n), mode, store=store)
-    assert vector_node_count(store, state) == n
+    return vector_node_count(store, state)
+
+
+# QPE of a dyadic phase ends in exactly one basis state, a chain of n
+# nodes; from 20 qubits on, rounding noise still turns into extra nodes
+@pytest.mark.parametrize("mode", ["new", "legacy"])
+@pytest.mark.parametrize("n", [*range(2, 20), _qpe_blowup(20, 21)])
+def test_qpe_final_state_is_one_chain(n, mode):
+    assert _qpe_final_nodes(n, mode) == n
+
+
+# where noise is left, it is the same noise in both representations
+@pytest.mark.parametrize("n", range(11, 23))
+def test_qpe_modes_agree_on_final_nodes(n):
+    assert _qpe_final_nodes(n, "new") == _qpe_final_nodes(n, "legacy")

@@ -406,3 +406,28 @@ def test_reachability_oracle_matches_refcounts():
                 stack.append(t)
     for node in reachable:
         assert store.vec.ref[node] >= 1
+
+
+@pytest.mark.parametrize(
+    "mode, pinned",
+    [
+        ("new", (6, 993, 1347, 126, 222)),
+        ("legacy", (6, 993, 1654, 371, 632)),
+    ],
+)
+def test_derived_counters_across_node_gc(mode, pinned):
+    # a pool counts hits and sweeps only: created, allocated and lookups
+    # follow from them and the node lists, and read as when each was
+    # counted on its own (the pins)
+    from qdd import generate, simulate_statevector
+
+    store = NodeStore(6)
+    store.vec.table_limit = store.mat.table_limit = 32
+    simulate_statevector(generate("grover", 6), mode, store=store)
+    vec, mat = store.vec, store.mat
+    assert (store.gc_runs, vec.created, vec.lookups, mat.created, mat.lookups) == pinned
+    for pool in (vec, mat):
+        assert pool.reclaimed > 0
+        assert pool.allocated == len(pool.succ) - pool.succ.count(None)
+        assert pool.created == pool.allocated + pool.reclaimed
+        assert pool.lookups == pool.hits + pool.created

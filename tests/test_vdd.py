@@ -4,10 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dense import build_vdd, random_state, read_state
-from invariants import check_normalization
-from qdd import NodeStore, add_vectors, amplitude, make_basis_state, make_vector_node, vnorm2
+from invariants import check_fixed_points, check_normalization
+from qdd import (
+    Circuit,
+    NodeStore,
+    add_vectors,
+    amplitude,
+    generate,
+    make_basis_state,
+    make_vector_node,
+    simulate_statevector,
+    vnorm2,
+)
+from qdd.circuit import _GATES
 from qdd.store import TERMINAL, ZERO_EDGE, ZERO_STUB
 from qdd.vdd import node_count
 from qdd.weights import ONE, ZERO
@@ -193,3 +205,71 @@ def test_all_live_nodes_locally_normalized():
     for _ in range(20):
         build_vdd(store, random_state(6, rng))
     assert check_normalization(store) == []
+
+
+def test_cancelled_pair_is_the_zero_edge(store):
+    # a pair with norm at most 100 * TOLERANCE is a sum that cancelled
+    # below the weight resolution; just above it, it is a node
+    wt = store.weights
+    for re, zero in ((7e-12, True), (2e-11, False)):
+        edge = (TERMINAL, wt.intern(re))
+        assert (make_vector_node(store, 0, edge, edge) == ZERO_EDGE) is zero
+
+
+def test_small_norm_pair_is_normalized_by_the_exact_factor():
+    # the normalization factor, about 3.7e-10, interns onto the first
+    # weight's handle 1.5e-15 away; dividing by that handle would store
+    # the pair (1, -0.0029), whose squared norm is 8e-6 above 1
+    store = NodeStore(1)
+    wt = store.weights
+    a = (TERMINAL, wt.intern(3.5697323118696755e-10, 7.954994582874025e-11))
+    b = (TERMINAL, wt.intern(-1.0264830764660828e-12, -2.287473289116942e-13))
+    edge = make_vector_node(store, 0, a, b)
+    assert check_normalization(store) == []
+    assert check_fixed_points(store) == []
+    assert make_vector_node(store, 0, a, b) == edge
+    # the edge carries the interned factor, off by its 1.5e-15
+    assert abs(amplitude(store, edge, 0) - wt.values[a[1]]) < 1e-14
+    assert abs(amplitude(store, edge, 1) - wt.values[b[1]]) < 1e-14
+
+
+# every stored vector node must be a fixed point of make_vector_node, so
+# that a node rebuilt with a stored node's weights needs no normalizing
+@pytest.mark.parametrize("mode", ["new", "legacy"])
+@pytest.mark.parametrize("n", range(11, 20))
+def test_qpe_stores_only_fixed_points(n, mode):
+    store = NodeStore(n)
+    simulate_statevector(generate("qpe", n), mode, store=store)
+    assert check_normalization(store) == []
+    assert check_fixed_points(store) == []
+
+
+# the phase ladder 2*pi/2^k reaches far below the weight tolerance
+ANGLES = st.one_of(
+    st.integers(0, 50).map(lambda k: 2.0 * math.pi / 2**k),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi),
+)
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 8))
+    circuit = Circuit(n)
+    names = sorted(name for name, row in _GATES.items() if row[0] < n)
+    for _ in range(draw(st.integers(1, 24))):
+        name = draw(st.sampled_from(names))
+        controls, nparams = _GATES[name][:2]
+        width = draw(st.integers(1, n)) if controls < 0 else controls + 1
+        wires = draw(st.permutations(range(n)))[:width]
+        circuit.add(name, *wires, params=tuple(draw(ANGLES) for _ in range(nparams)))
+    return circuit
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits())
+def test_random_circuits_store_only_fixed_points(circuit):
+    for mode in ("new", "legacy"):
+        store = NodeStore(circuit.n)
+        simulate_statevector(circuit, mode, store=store)
+        assert check_normalization(store) == []
+        assert check_fixed_points(store) == []
