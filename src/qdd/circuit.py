@@ -52,36 +52,9 @@ class SerializationError(ValueError):
     pass
 
 
-def _base_x(_):
-    return (0, 1, 1, 0)
-
-
-def _base_y(_):
-    return (0, -1j, 1j, 0)
-
-
-def _base_z(_):
-    return (1, 0, 0, -1)
-
-
-def _base_h(_):
-    return (_SQ2, _SQ2, _SQ2, -_SQ2)
-
-
-def _base_s(_):
-    return (1, 0, 0, 1j)
-
-
-def _base_sdg(_):
-    return (1, 0, 0, -1j)
-
-
-def _base_t(_):
-    return (1, 0, 0, cmath.exp(0.25j * math.pi))
-
-
-def _base_tdg(_):
-    return (1, 0, 0, cmath.exp(-0.25j * math.pi))
+# the two bases that more than one gate row shares
+_X = (0, 1, 1, 0)
+_Z = (1, 0, 0, -1)
 
 
 def _base_rx(p):
@@ -102,32 +75,34 @@ def _base_p(p):
     return (1, 0, 0, cmath.exp(1j * p[0]))
 
 
-# name -> (controls, params, base builder, wire orders). A gate lowers to
-# one GateSpec per wire order, its wires taken in that order: controls
-# first, the target after them. controls -1 makes every wire but the last
-# a control, for any wire count; such a gate has no QASM form here.
+# name -> (controls, params, base, wire orders). base is the gate's flat
+# 2x2 matrix, or for a gate with parameters the function that builds it
+# from them. A gate lowers to one GateSpec per wire order, its wires taken
+# in that order: controls first, the target after them. controls -1 makes
+# every wire but the last a control, for any wire count; such a gate has
+# no QASM form here.
 _ONCE = (slice(None),)
 _GATES = {
-    "x": (0, 0, _base_x, _ONCE),
-    "y": (0, 0, _base_y, _ONCE),
-    "z": (0, 0, _base_z, _ONCE),
-    "h": (0, 0, _base_h, _ONCE),
-    "s": (0, 0, _base_s, _ONCE),
-    "sdg": (0, 0, _base_sdg, _ONCE),
-    "t": (0, 0, _base_t, _ONCE),
-    "tdg": (0, 0, _base_tdg, _ONCE),
+    "x": (0, 0, _X, _ONCE),
+    "y": (0, 0, (0, -1j, 1j, 0), _ONCE),
+    "z": (0, 0, _Z, _ONCE),
+    "h": (0, 0, (_SQ2, _SQ2, _SQ2, -_SQ2), _ONCE),
+    "s": (0, 0, (1, 0, 0, 1j), _ONCE),
+    "sdg": (0, 0, (1, 0, 0, -1j), _ONCE),
+    "t": (0, 0, (1, 0, 0, cmath.exp(0.25j * math.pi)), _ONCE),
+    "tdg": (0, 0, (1, 0, 0, cmath.exp(-0.25j * math.pi)), _ONCE),
     "rx": (0, 1, _base_rx, _ONCE),
     "ry": (0, 1, _base_ry, _ONCE),
     "rz": (0, 1, _base_rz, _ONCE),
     "p": (0, 1, _base_p, _ONCE),
     "u1": (0, 1, _base_p, _ONCE),
-    "cx": (1, 0, _base_x, _ONCE),
-    "cz": (1, 0, _base_z, _ONCE),
+    "cx": (1, 0, _X, _ONCE),
+    "cz": (1, 0, _Z, _ONCE),
     "cp": (1, 1, _base_p, _ONCE),
-    "ccx": (2, 0, _base_x, _ONCE),
+    "ccx": (2, 0, _X, _ONCE),
     # cx, its mirror, cx
-    "swap": (1, 0, _base_x, (slice(None), slice(None, None, -1), slice(None))),
-    "mcz": (-1, 0, _base_z, _ONCE),
+    "swap": (1, 0, _X, (slice(None), slice(None, None, -1), slice(None))),
+    "mcz": (-1, 0, _Z, _ONCE),
 }
 _QASM_GATES = frozenset(name for name, row in _GATES.items() if row[0] >= 0)
 
@@ -157,8 +132,8 @@ class Gate:
 
     def to_specs(self, n: int) -> list[GateSpec]:
         """Lower onto DD levels (level = n-1-wire), one spec per wire order."""
-        controls, _nparams, base, orders = _GATES[self.name]
-        u = base(self.params)
+        controls, nparams, base, orders = _GATES[self.name]
+        u = base(self.params) if nparams else base
         levels = [n - 1 - q for q in self.qubits]
         specs = []
         for order in orders:

@@ -49,6 +49,16 @@ class SystemExit2(Exception):
     """Usage error raised after argument parsing."""
 
 
+# run kind -> simulator; --kind takes these names
+_SIMULATORS = {"statevector": simulate_statevector, "unitary": simulate_unitary}
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _parse_indices(text: str, option: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -58,16 +68,16 @@ def _parse_indices(text: str, option: str) -> list[int]:
 
 def _cmd_simulate(args) -> int:
     circuit = _load_circuit(args)
-    store = NodeStore(circuit.n)
-    indices = _parse_indices(args.amplitudes, "--amplitudes") if args.amplitudes else []
-    if args.kind == "statevector":
-        root, report = simulate_statevector(circuit, args.mode, store=store)
-        dd_kind = VEC
-    else:
-        if indices:
+    indices = []
+    if args.amplitudes is not None:
+        # checked before the run, so a bad list costs no simulation
+        if args.kind != "statevector":
             raise SystemExit2("--amplitudes applies to statevector runs only")
-        root, report = simulate_unitary(circuit, args.mode, store=store)
-        dd_kind = MAT
+        indices = _parse_indices(args.amplitudes, "--amplitudes")
+        if not indices or not all(0 <= i < 1 << circuit.n for i in indices):
+            raise SystemExit2(f"--amplitudes takes indices in [0, 2^{circuit.n})")
+    store = NodeStore(circuit.n)
+    root, report = _SIMULATORS[args.kind](circuit, args.mode, store=store)
     amplitudes = {i: amplitude(store, root, i) for i in indices}
     print(
         f"{report.benchmark or 'circuit'} n={report.n} |G|={report.gate_count} "
@@ -81,12 +91,10 @@ def _cmd_simulate(args) -> int:
         payload = report.to_json_dict()
         if amplitudes:
             payload["amplitudes"] = {str(i): [v.real, v.imag] for i, v in amplitudes.items()}
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.stats_json, payload)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(store, root, dd_kind))
+            fh.write(export_dot(store, root, VEC if args.kind == "statevector" else MAT))
     return 0
 
 
@@ -121,9 +129,7 @@ def _cmd_compare(args) -> int:
         "legacy": runs[MODE_LEGACY][2].to_json_dict(),
     }
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, payload)
     print(
         f"{circuit.name or 'circuit'} n={n}: max amplitude deviation "
         f"{deviation:.3e} (tolerance {args.tolerance:.1e})"
@@ -141,14 +147,13 @@ def _cmd_bench(args) -> int:
     for m in modes:
         if m not in (MODE_NEW, MODE_LEGACY):
             raise SystemExit2(f"unknown mode {m!r}")
-    kinds = ["statevector", "unitary"] if args.kind == "both" else [args.kind]
+    kinds = list(_SIMULATORS) if args.kind == "both" else [args.kind]
     rows = []
     for n in sizes:
         circuit = _generate(args, n)
         for kind in kinds:
             for mode in modes:
-                run = simulate_statevector if kind == "statevector" else simulate_unitary
-                _root, report = run(circuit, mode)
+                _root, report = _SIMULATORS[kind](circuit, mode)
                 rows.append(report.to_json_dict())
                 print(
                     f"{args.benchmark} n={n} kind={kind} mode={mode} "
@@ -156,9 +161,7 @@ def _cmd_bench(args) -> int:
                     f"|GC|={report.gc_runs}"
                 )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json, rows)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS, extrasaction="ignore")
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[family], help="run one circuit and report statistics")
     _add_circuit_args(sim)
-    sim.add_argument("--kind", choices=("statevector", "unitary"), default="statevector")
+    sim.add_argument("--kind", choices=tuple(_SIMULATORS), default="statevector")
     sim.add_argument("--mode", choices=(MODE_NEW, MODE_LEGACY), default=MODE_NEW)
     sim.add_argument("--stats-json", dest="stats_json", help="write the run report here")
     sim.add_argument("--dot", help="write a DOT rendering of the final DD here")
@@ -205,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--benchmark", choices=FAMILIES, required=True)
     bench.add_argument("--qubits", required=True, help="comma-separated sizes")
-    bench.add_argument("--kind", choices=("statevector", "unitary", "both"),
-                       default="statevector")
+    bench.add_argument("--kind", choices=(*_SIMULATORS, "both"), default="statevector")
     bench.add_argument("--modes", default="new,legacy")
     bench.add_argument("--csv", help="write rows as CSV here")
     bench.add_argument("--json", help="write rows as JSON here")

@@ -12,11 +12,18 @@ Wall time covers the gate loop only, not parsing or generation. The
 arithmetic recursion descends one frame chain per level, so the gate
 loop runs under a recursion limit raised for that one call (run_deep).
 On Python 3.11+ pure-Python recursion does not use the C stack, so the
-loop runs on the calling thread and no thread is started.
+loop runs on the calling thread and no thread is started. Both
+simulators return what the loop returns: the final root edge and the
+run's report.
+
+DOT export draws every edge, the root edge included, by one rule: a zero
+edge ends in a dashed stub of its own, any other edge in its target node
+or the terminal. The text ends with a newline.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 import time
@@ -87,7 +94,7 @@ REPORT_FIELDS = tuple(f.name for f in fields(SimReport))
 
 def _simulate(
     circuit: Circuit, mode: str | None, store: NodeStore | None, kind: str
-) -> tuple[NodeStore, tuple, SimReport]:
+) -> tuple[tuple, SimReport]:
     """The gate loop of both simulators: statevector runs multiply each
     gate onto |0...0>, unitary runs onto the identity. mode=None keeps the
     store's mode; an explicit one is set on the store, which refuses it if
@@ -138,7 +145,7 @@ def _simulate(
         gc_runs=store.gc_runs,
         ct_hit_rate=store.ct_hit_rate(),
     )
-    return store, root, report
+    return root, report
 
 
 def simulate_statevector(
@@ -148,8 +155,7 @@ def simulate_statevector(
 ) -> tuple[tuple, SimReport]:
     """Run the circuit on |0...0>; returns the final state edge and a report.
     Pass a store to inspect the state afterwards."""
-    _store, state, report = _simulate(circuit, mode, store, "statevector")
-    return state, report
+    return _simulate(circuit, mode, store, "statevector")
 
 
 def simulate_unitary(
@@ -158,8 +164,7 @@ def simulate_unitary(
     store: NodeStore | None = None,
 ) -> tuple[tuple, SimReport]:
     """Accumulate the circuit's whole operator as one matrix DD."""
-    _store, acc, report = _simulate(circuit, mode, store, "unitary")
-    return acc, report
+    return _simulate(circuit, mode, store, "unitary")
 
 
 # -- DOT export ----------------------------------------------------------
@@ -175,61 +180,45 @@ def _fmt_weight(v: complex) -> str:
 
 
 def export_dot(store: NodeStore, edge: tuple, kind: str = VEC) -> str:
-    """Render a DD of node kind VEC or MAT as Graphviz DOT: one rank per
-    level, zero-stubs drawn as filled dots, weights as edge labels,
-    deterministic node names."""
-    wt = store.weights
+    """Render a DD of node kind VEC or MAT as Graphviz DOT text ending in a
+    newline: one rank per level, zero-stubs drawn as filled dots, weights
+    as edge labels, deterministic node names."""
+    values = store.weights.values
     pool = store.pool(kind)
     levels = pool.level
+    target, w = edge
+    by_level: dict[int, list[int]] = {}
+    for node in sorted(pool.reachable(target)):
+        by_level.setdefault(levels[node], []).append(node)
 
     lines = ["digraph dd {", "  rankdir=TB;", "  node [fontsize=10];"]
     lines.append('  root [shape=none, label=""];')
-    target, w = edge
-    stub_count = 0
-
-    def stub() -> str:
-        nonlocal stub_count
-        name = f"z{stub_count}"
-        stub_count += 1
-        lines.append(f"  {name} [shape=point, width=0.08, style=filled];")
-        return name
-
-    if target == ZERO_STUB or w == ZERO:
-        lines.append(f"  root -> {stub()};")
-        lines.append("}")
-        return "\n".join(lines)
-
-    lines.append('  term [shape=box, label="1"];')
-    if target < 0:
-        lines.append(f'  root -> term [label="{_fmt_weight(wt.values[w])}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
-    by_level: dict[int, list[int]] = {}
-    for node in pool.reachable(target):
-        by_level.setdefault(levels[node], []).append(node)
-
-    def name(node: int, level: int) -> str:
-        return f"n{level}_{node}"
-
-    for level in sorted(by_level, reverse=True):
-        nodes = sorted(by_level[level])
-        members = "; ".join(f'{name(nd, level)} [shape=circle, label="q{level}"]' for nd in nodes)
+    if target != ZERO_STUB:
+        lines.append('  term [shape=box, label="1"];')
+    ranks = sorted(by_level.items(), reverse=True)
+    for level, nodes in ranks:
+        members = "; ".join(f'n{level}_{nd} [shape=circle, label="q{level}"]' for nd in nodes)
         lines.append(f"  {{ rank=same; {members}; }}")
+    stubs = itertools.count()
 
-    lines.append(f'  root -> {name(target, levels[target])} [label="{_fmt_weight(wt.values[w])}"];')
-    for level in sorted(by_level, reverse=True):
-        for node in sorted(by_level[level]):
+    def draw(src: str, t: int, sw: int, label: str) -> None:
+        """One edge; a zero edge ends in a stub of its own, dashed."""
+        if t == ZERO_STUB or sw == ZERO:
+            stub = f"z{next(stubs)}"
+            lines.append(f"  {stub} [shape=point, width=0.08, style=filled];")
+            lines.append(f'  {src} -> {stub} [label="{label}", style=dashed];')
+        else:
+            dst = "term" if t == TERMINAL else f"n{levels[t]}_{t}"
+            lines.append(f'  {src} -> {dst} [label="{label}"];')
+
+    # the root edge is labelled with its weight, a successor with its index
+    # and, unless it is 1 or 0, its weight
+    draw("root", target, w, _fmt_weight(values[w]))
+    for level, nodes in ranks:
+        for node in nodes:
             succ = pool.succ[node]
             for i in range(len(succ) // 2):
                 t, sw = succ[2 * i], succ[2 * i + 1]
-                label = str(i) if sw == ONE else f"{i}:{_fmt_weight(wt.values[sw])}"
-                src = name(node, level)
-                if sw == ZERO or t == ZERO_STUB:
-                    lines.append(f"  {src} -> {stub()} [label=\"{i}\", style=dashed];")
-                elif t == TERMINAL:
-                    lines.append(f'  {src} -> term [label="{label}"];')
-                else:
-                    lines.append(f'  {src} -> {name(t, levels[t])} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)
+                label = str(i) if sw in (ONE, ZERO) else f"{i}:{_fmt_weight(values[sw])}"
+                draw(f"n{level}_{node}", t, sw, label)
+    return "\n".join(lines) + "\n}\n"

@@ -167,6 +167,55 @@ def test_ccx_lowered_to_double_control():
     assert spec.target == 0
 
 
+# Textbook matrices, written out apart from the gate table. The dense
+# oracle of tests/dense.py multiplies spec.base itself, so a typo in a
+# base would pass every dense comparison; only this test would see it.
+_R = 1.0 / math.sqrt(2.0)
+_X = [[0, 1], [1, 0]]
+_Z = [[1, 0], [0, -1]]
+
+
+def _p(a):
+    return [[1, 0], [0, math.cos(a) + 1j * math.sin(a)]]
+
+
+def _textbook_cases():
+    cases = [
+        ("x", 1, (), _X),
+        ("y", 1, (), [[0, -1j], [1j, 0]]),
+        ("z", 1, (), _Z),
+        ("h", 1, (), [[_R, _R], [_R, -_R]]),
+        ("s", 1, (), [[1, 0], [0, 1j]]),
+        ("sdg", 1, (), [[1, 0], [0, -1j]]),
+        ("t", 1, (), [[1, 0], [0, _R + 1j * _R]]),
+        ("tdg", 1, (), [[1, 0], [0, _R - 1j * _R]]),
+        ("cx", 2, (), _X),
+        ("cz", 2, (), _Z),
+        ("ccx", 3, (), _X),
+        ("swap", 2, (), _X),
+        ("mcz", 4, (), _Z),
+    ]
+    for a in (0.7, -2.9):
+        c, s = math.cos(a / 2), math.sin(a / 2)
+        cases += [
+            ("rx", 1, (a,), [[c, -1j * s], [-1j * s, c]]),
+            ("ry", 1, (a,), [[c, -s], [s, c]]),
+            ("rz", 1, (a,), [[c - 1j * s, 0], [0, c + 1j * s]]),
+            ("p", 1, (a,), _p(a)),
+            ("u1", 1, (a,), _p(a)),
+            ("cp", 2, (a,), _p(a)),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("name, width, params, matrix", _textbook_cases())
+def test_lowered_base_is_the_textbook_matrix(name, width, params, matrix):
+    specs = Gate(name, tuple(range(width)), params).to_specs(width)
+    assert specs
+    for spec in specs:
+        assert np.abs(np.reshape(spec.base, (2, 2)) - np.array(matrix)).max() < 1e-15
+
+
 def test_round_trip_bell():
     c = parse_qasm(BELL)
     again = parse_qasm(circuit_to_qasm(c))

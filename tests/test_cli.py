@@ -174,3 +174,23 @@ def test_missing_file_exit_1():
 def test_help_exit_0(capsys):
     assert main(["--help"]) == 0
     assert "simulate" in capsys.readouterr().out
+
+
+def test_unitary_dot_ends_in_a_newline(tmp_path):
+    qasm = tmp_path / "empty.qasm"
+    qasm.write_text("OPENQASM 2.0;\nqreg q[2];\n")
+    dot = tmp_path / "e.dot"
+    assert main(["simulate", "--input", str(qasm), "--kind", "unitary", "--dot", str(dot)]) == 0
+    assert dot.read_text().endswith("}\n")
+
+
+@pytest.mark.parametrize("amplitudes", ["-1", "4", "0,4", ",", ""])
+def test_bad_amplitudes_rejected_before_the_run(amplitudes, tmp_path, capsys):
+    qasm = tmp_path / "bell.qasm"
+    qasm.write_text(BELL)
+    # one token, so argparse does not read "-1" as an option
+    code = main(["simulate", "--input", str(qasm), f"--amplitudes={amplitudes}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--amplitudes" in captured.err
+    assert captured.out == ""  # no run report: nothing was simulated

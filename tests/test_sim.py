@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qdd import (
     MAT,
     NodeStore,
     StoreError,
+    TERMINAL,
     VEC,
     export_dot,
     gen_ghz,
@@ -216,7 +218,7 @@ def test_unitarity_rejected_before_simulation(monkeypatch):
     circuit = Circuit(2)
     circuit.add("h", 0)
     circuit.add("h", 1)
-    monkeypatch.setitem(circuit_mod._GATES, "h", (0, 0, lambda _p: (1, 0, 0, 2), circuit_mod._ONCE))
+    monkeypatch.setitem(circuit_mod._GATES, "h", (0, 0, (1, 0, 0, 2), circuit_mod._ONCE))
     store = NodeStore(2)
     with pytest.raises(ValueError, match="not unitary"):
         simulate_statevector(circuit, "new", store=store)
@@ -233,34 +235,6 @@ def bell_store_and_state():
     return store, state
 
 
-def test_dot_bell_structure():
-    store, state = bell_store_and_state()
-    dot = export_dot(store, state, VEC)
-    assert dot.startswith("digraph")
-    assert dot.count("rank=same") == 2
-    assert dot.count("shape=circle") == 3
-    assert 'term [shape=box, label="1"]' in dot
-    assert dot.count("shape=point") == 2  # one zero-stub per absent branch
-    assert "root ->" in dot
-
-
-def test_dot_new_mode_cnot_two_ranks():
-    from qdd import GateSpec, make_gate_dd
-
-    store = NodeStore(4)
-    edge = make_gate_dd(store, GateSpec((0, 1, 1, 0), 0, ((3, True),)), 4)
-    dot = export_dot(store, edge, MAT)
-    assert dot.count("rank=same") == 2
-    assert dot.count("shape=circle") == 2
-
-
-def test_dot_zero_edge_single_stub():
-    store = NodeStore(2)
-    dot = export_dot(store, ZERO_EDGE, VEC)
-    assert dot.count("shape=point") == 1
-    assert "rank=same" not in dot
-
-
 def test_dot_rejects_an_unknown_kind():
     store = NodeStore(3)
     with pytest.raises(StoreError):
@@ -271,6 +245,76 @@ def test_dot_deterministic():
     store1, state1 = bell_store_and_state()
     store2, state2 = bell_store_and_state()
     assert export_dot(store1, state1, VEC) == export_dot(store2, state2, VEC)
+
+
+# golden DOT text; node names carry store ids, so an engine change that
+# allocates nodes in another order shows here too
+DOT_HEAD = 'digraph dd {\n  rankdir=TB;\n  node [fontsize=10];\n  root [shape=none, label=""];\n'
+DOT_TERM = '  term [shape=box, label="1"];\n'
+STUB = "[shape=point, width=0.08, style=filled];"
+
+
+def test_dot_bell_structure():
+    store, state = bell_store_and_state()
+    assert export_dot(store, state, VEC) == DOT_HEAD + DOT_TERM + (
+        '  { rank=same; n1_4 [shape=circle, label="q1"]; }\n'
+        '  { rank=same; n0_0 [shape=circle, label="q0"]; n0_3 [shape=circle, label="q0"]; }\n'
+        '  root -> n1_4 [label="1"];\n'
+        '  n1_4 -> n0_0 [label="0:0.70711"];\n'
+        '  n1_4 -> n0_3 [label="1:0.70711"];\n'
+        '  n0_0 -> term [label="0"];\n'
+        f"  z0 {STUB}\n"
+        '  n0_0 -> z0 [label="1", style=dashed];\n'
+        f"  z1 {STUB}\n"
+        '  n0_3 -> z1 [label="0", style=dashed];\n'
+        '  n0_3 -> term [label="1"];\n'
+        "}\n"
+    )
+
+
+def test_dot_new_mode_cnot_two_ranks():
+    from qdd import GateSpec, make_gate_dd
+
+    store = NodeStore(4)
+    edge = make_gate_dd(store, GateSpec((0, 1, 1, 0), 0, ((3, True),)), 4)
+    assert export_dot(store, edge, MAT) == DOT_HEAD + DOT_TERM + (
+        '  { rank=same; n3_1 [shape=circle, label="q3"]; }\n'
+        '  { rank=same; n0_0 [shape=circle, label="q0"]; }\n'
+        '  root -> n3_1 [label="1"];\n'
+        '  n3_1 -> term [label="0"];\n'
+        f"  z0 {STUB}\n"
+        '  n3_1 -> z0 [label="1", style=dashed];\n'
+        f"  z1 {STUB}\n"
+        '  n3_1 -> z1 [label="2", style=dashed];\n'
+        '  n3_1 -> n0_0 [label="3"];\n'
+        f"  z2 {STUB}\n"
+        '  n0_0 -> z2 [label="0", style=dashed];\n'
+        '  n0_0 -> term [label="1"];\n'
+        '  n0_0 -> term [label="2"];\n'
+        f"  z3 {STUB}\n"
+        '  n0_0 -> z3 [label="3", style=dashed];\n'
+        "}\n"
+    )
+
+
+def test_dot_zero_edge_single_stub():
+    # a zero root edge is drawn like any zero successor, and reaches no terminal
+    dot = export_dot(NodeStore(2), ZERO_EDGE, VEC)
+    assert dot == DOT_HEAD + f"  z0 {STUB}\n" + '  root -> z0 [label="0", style=dashed];\n}\n'
+
+
+def test_dot_golden_terminal_matrix_edge():
+    store = NodeStore(2)
+    dot = export_dot(store, (TERMINAL, store.weights.intern(0.5)), MAT)
+    assert dot == DOT_HEAD + DOT_TERM + '  root -> term [label="0.5"];\n}\n'
+
+
+@pytest.mark.parametrize("mode", ["new", "legacy"])
+def test_dot_golden_qft3_unitary(mode):
+    store = NodeStore(3)
+    root, _report = simulate_unitary(gen_qft(3), mode, store=store)
+    golden = Path(__file__).with_name("golden") / f"qft3_unitary_{mode}.dot"
+    assert export_dot(store, root, MAT) == golden.read_text(encoding="utf-8")
 
 
 def _qft_on_basis(n, x):

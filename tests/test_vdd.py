@@ -1,6 +1,7 @@
 """Vector DD construction, normalization, and readback."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -273,3 +274,65 @@ def test_random_circuits_store_only_fixed_points(circuit):
         simulate_statevector(circuit, mode, store=store)
         assert check_normalization(store) == []
         assert check_fixed_points(store) == []
+
+
+def _seeded_circuit(rng, n, gates):
+    circuit = Circuit(n)
+    names = sorted(name for name, row in _GATES.items() if 0 <= row[0] < n)
+    for _ in range(gates):
+        name = rng.choice(names)
+        controls, nparams = _GATES[name][:2]
+        wires = rng.sample(range(n), controls + 1)
+        params = tuple(rng.uniform(-2.0 * math.pi, 2.0 * math.pi) for _ in range(nparams))
+        circuit.add(name, *wires, params=params)
+    return circuit
+
+
+def _add_then_subtract(seed, qubits, gates):
+    """States s and t of two seeded random circuits in one store, and
+    (s + t) - t computed there; canonicity needs it to reach s's root."""
+    rng = random.Random(seed)
+    n = rng.randint(*qubits)
+    store = NodeStore(n)
+    s, _ = simulate_statevector(_seeded_circuit(rng, n, rng.randint(*gates)), store=store)
+    t, _ = simulate_statevector(_seeded_circuit(rng, n, rng.randint(*gates)), store=store)
+    wt = store.weights
+    minus_t = (t[0], wt.mul(t[1], wt.intern(-1.0)))
+    return store, n, s, add_vectors(store, add_vectors(store, s, t), minus_t)
+
+
+def _same_edge(store, a, b):
+    values = store.weights.values
+    return a[0] == b[0] and abs(values[a[1]] - values[b[1]]) < 1e-10
+
+
+def test_add_then_subtract_returns_to_the_root():
+    missed = []
+    for seed in range(400):
+        store, _n, s, back = _add_then_subtract(seed, (2, 6), (1, 20))
+        if not _same_edge(store, s, back):
+            missed.append(seed)
+    assert missed == []
+
+
+def _unshared(seed, n, before, after):
+    reason = (
+        f"equal subvectors on distinct nodes: {n} qubits, the root grows "
+        f"from {before} to {after} nodes with the same amplitudes"
+    )
+    return pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=reason))
+
+
+# Larger circuits reach the QFT-64 defect of canonicity at 7 to 10 qubits:
+# the round trip lands on the same amplitudes, exact zeros included, but
+# on a bigger DD whose equal subvectors sit on distinct nodes.
+@pytest.mark.parametrize(
+    "seed", [_unshared(5, 10, 10, 25), _unshared(85, 7, 22, 30), _unshared(132, 9, 19, 24)]
+)
+def test_add_then_subtract_on_larger_circuits(seed):
+    store, n, s, back = _add_then_subtract(seed, (6, 12), (20, 80))
+    want = read_state(store, s, n)
+    got = read_state(store, back, n)
+    assert np.abs(got - want).max() < 1e-12
+    assert np.array_equal(got == 0, want == 0)
+    assert _same_edge(store, s, back)
