@@ -34,14 +34,14 @@ the product only rebuilds the paths of the vector down to the next
 matrix node. Each such run of levels is memoized per call, in a dict
 made where the run is entered and keyed by vector node, and counts as
 no compute-table lookup; the table is consulted only at matrix nodes.
-A rebuilt node whose two result edges carry the weights of the input
-node (every node of a skip region, most nodes of a gate) needs no
-normalizing: those weights are a stored node's, and every stored node is
-a fixed point of vdd.make_vector_node, so the result is the unique-table
-node over the new targets with weight ONE (the input node itself when
-the targets are unchanged too). Only a node whose weights changed is
-normalized.
-There the product is written out per quadrant: row i of the result is
+A node of a skip region whose two result edges carry the weights of the
+input node needs no normalizing: those weights are a stored node's, and
+every stored node is a fixed point of vdd.make_vector_node, so the
+result is the unique-table node over the new targets with weight ONE
+(the input node itself when the targets are unchanged too). At a matrix
+node every result goes through make_vector_node, whose record of stored
+pairs answers the same case with one set lookup, and the product is
+written out per quadrant: row i of the result is
 u(2i)*v0 + u(2i+1)*v1, and the four products and two sums run in that
 fixed order, which fixes the order in which nodes and weights are
 created.
@@ -149,10 +149,7 @@ def _mul_mv(store, ut, uw, vt, vw, level):
                 e1 = m
             elif m[1] != ZERO:
                 e1 = _add_v(store, e1, m, below)
-        if e0[1] == v0w and e1[1] == v1w:  # vt's own weights: no normalizing
-            r = (store.vec.lookup(level, (e0[0], v0w, e1[0], v1w)), ONE)
-        else:
-            r = make_vector_node(store, level, e0, e1)
+        r = make_vector_node(store, level, e0, e1)
         store.ct_insert(MUL_MV, key, r)
     rw = r[1]
     if rw == ZERO:

@@ -25,7 +25,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from .mdd import GateSpec
+from .mdd import GateSpec, as_index
 
 # correctly rounded 1/sqrt(2); 1/math.sqrt(2) lands one ulp low
 _SQ2 = math.sqrt(0.5)
@@ -116,7 +116,7 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(as_index(q, "wire") for q in self.qubits))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.name not in _GATES:
             raise ValueError(f"unsupported gate {self.name!r}")
@@ -149,10 +149,11 @@ class Circuit:
     name: str = ""
 
     def add(self, gate_name: str, *qubits: int, params: tuple[float, ...] = ()) -> None:
-        for q in qubits:
+        gate = Gate(gate_name, tuple(qubits), tuple(params))
+        for q in gate.qubits:
             if not 0 <= q < self.n:
                 raise ValueError(f"wire {q} out of range for {self.n} qubits")
-        self.gates.append(Gate(gate_name, tuple(qubits), tuple(params)))
+        self.gates.append(gate)
 
     def gate_count(self) -> int:
         return len(self.gates)

@@ -148,9 +148,10 @@ def _cmd_bench(args) -> int:
         if m not in (MODE_NEW, MODE_LEGACY):
             raise SystemExit2(f"unknown mode {m!r}")
     kinds = list(_SIMULATORS) if args.kind == "both" else [args.kind]
+    # every size is generated before the first run, so a bad one fails alone
+    circuits = [(n, _generate(args, n)) for n in sizes]
     rows = []
-    for n in sizes:
-        circuit = _generate(args, n)
+    for n, circuit in circuits:
         for kind in kinds:
             for mode in modes:
                 _root, report = _SIMULATORS[kind](circuit, mode)

@@ -49,12 +49,22 @@ oracles in the test suite.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 from .store import MODE_LEGACY, NodeStore, TERMINAL, ZERO_EDGE, ZERO_STUB
 from .weights import ONE, ZERO
 
 _UNITARY_TOL = 1e-10
+
+
+def as_index(value, what: str) -> int:
+    """value as an int by operator.index: a float, a string or any other
+    non-integer raises ValueError, where int() would truncate or parse it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,8 @@ class GateSpec:
         ):
             raise ValueError("gate base is not unitary")
         object.__setattr__(self, "base", base)
-        ctrls = sorted((int(level), bool(pos)) for level, pos in self.controls)
+        object.__setattr__(self, "target", as_index(self.target, "target level"))
+        ctrls = sorted((as_index(lv, "control level"), bool(pos)) for lv, pos in self.controls)
         object.__setattr__(self, "controls", tuple(ctrls))
 
     def validate(self, n: int) -> None:

@@ -143,7 +143,6 @@ class _Pool:
             node = free.pop()
             levels[node] = level
             self.succ[node] = succ
-            self.ref[node] = 0
         else:
             node = len(levels)
             levels.append(level)
@@ -213,8 +212,9 @@ class NodeStore:
         self.mat = _Pool(num_levels)
         # Legacy identity edges I_0 .. I_k by top level (see mdd.identity_chain).
         self.identity_m: list[tuple] = []
-        # Weight pairs vdd.make_vector_node made that its numeric test for a
-        # normalized pair may refuse (see there).
+        # Every weight pair vdd.make_vector_node has stored: normalized pairs
+        # it hands to the unique table as they are (see there). Node GC
+        # leaves it alone.
         self.normal_pairs: set[tuple[int, int]] = set()
 
         # peak_live: the most nodes referenced at once, both kinds together
@@ -292,13 +292,16 @@ class NodeStore:
         """Add step (+1 or -1) to the count of edge's target. A node whose
         count reaches 1 going up or 0 going down passes the step on to its
         children. An underflow stops the walk, and _ref_live keeps the
-        nodes it released before."""
+        nodes it released before. A swept target raises before any count
+        changes; the children of an allocated node are allocated."""
         pool = self.pool(kind)
         target = edge[0]
         if target < 0:
             return
         refs = pool.ref
         succs = pool.succ
+        if succs[target] is None:
+            raise StoreError(f"{kind}{target} was swept")
         live = self._ref_live
         passes = 1 if step > 0 else 0
         stack = [target]

@@ -17,13 +17,14 @@ normalization factor is still within 1% of the exact one.
 
 Every stored node is a fixed point of make_vector_node: rebuilt from its
 own weights, over any successors, it comes back with weight ONE. The
-numeric test of a normalized pair alone cannot promise that, because the
-weights it produces are interned: the interned factor may sit up to
-TOLERANCE from the exact one, a large relative error next to a small
-norm. So a pair the test refuses after the division is divided again by
-the exact factor and recorded in store.normal_pairs, which the test
-accepts as normalized. arith relies on the invariant: a node rebuilt
-with a stored node's weights goes straight to the unique table.
+weights a division produces are interned, so no numeric test of a pair
+can promise that. Instead every pair make_vector_node stores is recorded
+in store.normal_pairs, and a recorded pair goes straight to the unique
+table. Any other pair is divided by its exact normalization factor, not
+by the factor's interned handle: that handle may sit up to TOLERANCE
+from the factor, a large relative error next to a small norm. arith
+relies on the invariant: a node rebuilt with a stored node's weights
+costs one set lookup before the unique table.
 """
 
 from __future__ import annotations
@@ -33,20 +34,9 @@ import math
 from .store import NodeStore, TERMINAL, ZERO_EDGE, ZERO_STUB
 from .weights import ONE, TOLERANCE, ZERO
 
-# Slack on |w0|^2+|w1|^2 under which renormalizing provably re-interns to
-# the same handles, so it can be skipped.
-_NORM_SLACK = 5e-14
 # A pair whose norm is at most 100 * TOLERANCE is a sum that cancelled
 # below the weight resolution: the zero edge (compared squared).
 _CANCELLED2 = (100.0 * TOLERANCE) ** 2
-
-
-def _is_normal(wt, w0: int, w1: int) -> bool:
-    """Whether (w0, w1) has unit 2-norm within _NORM_SLACK and a real,
-    positive first nonzero weight."""
-    lv = wt.values[w0 if w0 != ZERO else w1]
-    n2 = wt.mag2[w0] + wt.mag2[w1]
-    return -_NORM_SLACK < n2 - 1.0 < _NORM_SLACK and lv.imag == 0.0 and lv.real > 0.0
 
 
 def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tuple:
@@ -59,23 +49,20 @@ def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tupl
         t0 = ZERO_STUB
     elif w1 == ZERO:
         t1 = ZERO_STUB
-    wt = store.weights
-    if _is_normal(wt, w0, w1) or (w0, w1) in store.normal_pairs:
+    pairs = store.normal_pairs
+    if (w0, w1) in pairs:
         return (store.vec.lookup(level, (t0, w0, t1, w1)), ONE)
+    wt = store.weights
     n2 = wt.mag2[w0] + wt.mag2[w1]
     if n2 <= _CANCELLED2:
         return ZERO_EDGE
     lv = wt.values[w0 if w0 != ZERO else w1]
     factor = (math.sqrt(n2) / abs(lv)) * lv
+    # interned first, so that handles keep their order; the weights are
+    # divided by factor itself, which fh may miss by up to TOLERANCE
     fh = wt.intern(factor.real, factor.imag)
-    x0 = wt.div(w0, fh)
-    x1 = wt.div(w1, fh)
-    exact = not _is_normal(wt, x0, x1)
-    if exact:
-        # fh may sit up to TOLERANCE from factor, far off next to a small
-        # norm: divide by factor itself
-        x0 = wt.intern_complex(wt.values[w0] / factor)
-        x1 = wt.intern_complex(wt.values[w1] / factor)
+    x0 = wt.intern_complex(wt.values[w0] / factor)
+    x1 = wt.intern_complex(wt.values[w1] / factor)
     if (x0 == ZERO and t0 != ZERO_STUB) or (x1 == ZERO and t1 != ZERO_STUB):
         # A weight tiny next to the other interned to ZERO only after the
         # division. Drop it before normalizing, as a zero-edge caller would:
@@ -83,10 +70,7 @@ def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tupl
         return make_vector_node(
             store, level, ZERO_EDGE if x0 == ZERO else e0, ZERO_EDGE if x1 == ZERO else e1
         )
-    if exact:
-        # the test above may refuse even this pair by a rounding: record it
-        # as normalized, so that every stored node is a fixed point
-        store.normal_pairs.add((x0, x1))
+    pairs.add((x0, x1))
     return (store.vec.lookup(level, (t0, x0, t1, x1)), fh)
 
 

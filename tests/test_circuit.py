@@ -283,6 +283,23 @@ def test_circuit_add_range_check():
         c.add("h", 2)
 
 
+@pytest.mark.parametrize("wire", [1.7, 1.0, "1", None])
+def test_non_integer_wire_rejected(wire):
+    # int() would truncate 1.7 to wire 1 and parse "1"
+    c = Circuit(2)
+    with pytest.raises(ValueError, match="is not an integer"):
+        c.add("h", wire)
+    with pytest.raises(ValueError, match="is not an integer"):
+        Gate("cx", (0, wire))
+    assert c.gates == []
+
+
+def test_integer_wires_of_any_int_type_accepted():
+    gate = Gate("cx", (np.int64(1), 0))
+    assert gate.qubits == (1, 0)
+    assert all(type(q) is int for q in gate.qubits)
+
+
 def test_temporal_order_is_rightmost_factor_first():
     # x then h on one wire: operator is H X, so |0> maps to H|1>
     c = Circuit(1)

@@ -124,6 +124,21 @@ def test_bench_without_modes_is_usage_error(tmp_path, capsys):
     assert not json_path.exists()
 
 
+@pytest.mark.parametrize(
+    "extra", [["--qubits", "4,0"], ["--qubits", "4,5", "--secret", "101"]], ids=["n0", "secret"]
+)
+def test_bench_bad_size_fails_before_any_run(tmp_path, capsys, extra):
+    # every size is generated before the first run: no row is printed
+    family = "bv" if "--secret" in extra else "ghz"
+    csv_path = tmp_path / "rows.csv"
+    code = main(["bench", "--benchmark", family, *extra, "--csv", str(csv_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not csv_path.exists()
+
+
 def test_bench_bad_qubits_names_the_option(capsys):
     code = main(["bench", "--benchmark", "ghz", "--qubits", "4,x"])
     assert code == 2

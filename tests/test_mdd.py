@@ -137,6 +137,22 @@ def test_gate_spec_validation():
         GateSpec((math.nan, 0, 0, 1), 0)  # every unitarity test is False on NaN
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+def test_gate_spec_non_integer_level_rejected(bad):
+    # int() would turn the control level 0.5 into 0, and a float target
+    # would reach make_gate_dd as a list index
+    with pytest.raises(ValueError, match="target level .* is not an integer"):
+        GateSpec(X, bad)
+    with pytest.raises(ValueError, match="control level .* is not an integer"):
+        GateSpec(X, 1, ((bad, True),))
+
+
+def test_gate_spec_levels_of_any_int_type_become_int(store):
+    spec = GateSpec(X, np.int64(1), ((np.int32(0), True),))
+    assert (type(spec.target), type(spec.controls[0][0])) == (int, int)
+    assert make_gate_dd(store, spec, 2) == make_gate_dd(store, GateSpec(X, 1, ((0, True),)), 2)
+
+
 @pytest.mark.parametrize(
     "build, needed",
     [

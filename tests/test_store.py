@@ -124,6 +124,19 @@ def test_dec_ref_underflow_mid_walk_keeps_live_count(store):
     assert store.vec.ref[r1[0]] == 0 and store.vec.ref[child[0]] == 0
 
 
+def test_refcount_walk_on_a_swept_node_fails_before_counting(store):
+    # a freed id keeps count 0 until it is reused, so the reused node
+    # starts unreferenced
+    edge = make_vector_node(store, 0, (TERMINAL, ONE), ZERO_EDGE)
+    store.collect_garbage()
+    for call in (store.inc_ref, store.dec_ref):
+        with pytest.raises(StoreError, match="swept"):
+            call(VEC, edge)
+    reused = make_vector_node(store, 0, ZERO_EDGE, (TERMINAL, ONE))
+    assert reused[0] == edge[0]
+    assert store.vec.ref[reused[0]] == 0 and store._ref_live == 0
+
+
 def test_matrix_refcount_walk_counts_shared_nodes():
     # a legacy CX shares identity-chain nodes between its quadrants and
     # its control level; each node is live once, however many parents

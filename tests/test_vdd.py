@@ -235,9 +235,13 @@ def test_small_norm_pair_is_normalized_by_the_exact_factor():
 
 
 # every stored vector node must be a fixed point of make_vector_node, so
-# that a node rebuilt with a stored node's weights needs no normalizing
+# that a node rebuilt with a stored node's weights needs no normalizing.
+# From 21 qubits on, QPE's rounding noise makes pairs whose interned
+# normalization factor is too far off to divide by (991 at QPE-21, 3,482
+# at QPE-22, none up to QPE-19): a scale the random circuits below, of at
+# most 8 qubits, do not reach.
 @pytest.mark.parametrize("mode", ["new", "legacy"])
-@pytest.mark.parametrize("n", range(11, 20))
+@pytest.mark.parametrize("n", [*range(11, 20), 21, 22])
 def test_qpe_stores_only_fixed_points(n, mode):
     store = NodeStore(n)
     simulate_statevector(generate("qpe", n), mode, store=store)
