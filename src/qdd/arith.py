@@ -6,6 +6,9 @@ products and sums read such a level as the node mdd.identity_succ
 describes, so on the diagonal the operand passes through unchanged and
 off the diagonal the zero weight drops the term, by the same tests that
 drop a stored zero quadrant. Vector operands are always full height.
+Sums and matrix products read their two operands through one helper,
+_operands, which returns each one's successors at the higher of the two
+levels.
 
 The entry points multiply_mv, multiply_mm and add_vectors take edges
 only. An edge's extent follows from its target, so the level of a
@@ -13,9 +16,17 @@ vector operand is its target's level, or -1 for the terminal and the
 zero stub. They check only what an edge cannot rule out: multiply_mv
 rejects a matrix rooted above a nonzero vector, and add_vectors two
 nonzero vectors of different heights; any two matrices multiply. The
-recursion below them passes the level down as an argument: reading it
+matrix-vector recursion passes the level down as an argument: reading it
 from the pool's array("i") would box a new int for every level above
-256, on every call.
+256, on every call. Sums and matrix products read it there only on a
+compute-table miss, which builds a node anyway.
+
+Addition has one rule for both node kinds, _add: the zero shortcuts,
+the canonical order of the operands, the relative-weight key, the table
+round trip and the scaling tail are written once, and the sum recurses
+over every successor pair of the operands. Only the pool, the table tag
+and the node constructor set a vector sum apart from a matrix sum;
+add_vectors and _add_m are the two entries.
 
 Every routine strips the operand edge weights before consulting the
 compute table and multiplies them back into the result, so cached
@@ -140,7 +151,7 @@ def _mul_mv(store, ut, uw, vt, vw, level):
             if e0[1] == ZERO:
                 e0 = m
             elif m[1] != ZERO:
-                e0 = _add_v(store, e0, m, below)
+                e0 = _add(store, e0, m, store.vec, ADD_V, _make_vector)
         if u2w != ZERO and v0w != ZERO:
             e1 = _mul_mv(store, u2t, u2w, v0t, v0w, below)
         if u3w != ZERO and v1w != ZERO:
@@ -148,7 +159,7 @@ def _mul_mv(store, ut, uw, vt, vw, level):
             if e1[1] == ZERO:
                 e1 = m
             elif m[1] != ZERO:
-                e1 = _add_v(store, e1, m, below)
+                e1 = _add(store, e1, m, store.vec, ADD_V, _make_vector)
         r = make_vector_node(store, level, e0, e1)
         store.ct_insert(MUL_MV, key, r)
     rw = r[1]
@@ -169,10 +180,35 @@ def add_vectors(store: NodeStore, a: tuple, b: tuple) -> tuple:
     other = _vector_level(store, b)
     if a[1] != ZERO and b[1] != ZERO and other != level:
         raise StoreError(f"vectors rooted at levels {level} and {other}")
-    return _add_v(store, a, b, level)
+    return _add(store, a, b, store.vec, ADD_V, _make_vector)
 
 
-def _add_v(store, a, b, level):
+def _add_m(store, a, b):
+    """Sum of two matrix edges; either may skip levels."""
+    return _add(store, a, b, store.mat, ADD_M, make_matrix_node)
+
+
+def _make_vector(store, level, edges):
+    """make_vector_node over the two edges of a vector sum."""
+    return make_vector_node(store, level, edges[0], edges[1])
+
+
+def _operands(pool, at, bt):
+    """Level and flat successors of nodes at and bt read at the higher of
+    their two levels; a node below it (or the terminal) reads there as the
+    identity level mdd.identity_succ describes."""
+    la = pool.level[at] if at >= 0 else -1
+    lb = pool.level[bt] if bt >= 0 else -1
+    level = la if la >= lb else lb
+    asucc = pool.succ[at] if la == level else identity_succ(at)
+    bsucc = pool.succ[bt] if lb == level else identity_succ(bt)
+    return level, asucc, bsucc
+
+
+def _add(store, a, b, pool, tag, make):
+    """a + b over the nodes of pool: every successor pair is added, and
+    make(store, level, edges) builds the node; the compute table keeps the
+    results under tag."""
     at, aw = a
     bt, bw = b
     if aw == ZERO:
@@ -180,27 +216,25 @@ def _add_v(store, a, b, level):
     if bw == ZERO:
         return a
     wt = store.weights
-    if at == TERMINAL:
+    if at == TERMINAL and bt == TERMINAL:
         w = wt.add(aw, bw)
         return ZERO_EDGE if w == ZERO else (TERMINAL, w)
     if (bt, bw) < (at, aw):
         at, aw, bt, bw = bt, bw, at, aw
     rel = wt.div(bw, aw)
-    key = (at, bt, rel)  # vector nodes never skip, so level == vec.level[at]
-    r = store.ct_lookup(ADD_V, key)
+    key = (at, bt, rel)
+    r = store.ct_lookup(tag, key)
     if r is None:
-        asucc = store.vec.succ[at]
-        bsucc = store.vec.succ[bt]
+        level, asucc, bsucc = _operands(pool, at, bt)
         edges = []
-        for j in (0, 2):
-            ea = (asucc[j], asucc[j + 1])
+        for j in range(0, len(asucc), 2):
             ebw = bsucc[j + 1]
             if ebw != ZERO:
                 ebw = wt.mul(rel, ebw)
             eb = (bsucc[j], ebw) if ebw != ZERO else ZERO_EDGE
-            edges.append(_add_v(store, ea, eb, level - 1))
-        r = make_vector_node(store, level, edges[0], edges[1])
-        store.ct_insert(ADD_V, key, r)
+            edges.append(_add(store, (asucc[j], asucc[j + 1]), eb, pool, tag, make))
+        r = make(store, level, edges)
+        store.ct_insert(tag, key, r)
     w = wt.mul(aw, r[1])
     return ZERO_EDGE if w == ZERO else (r[0], w)
 
@@ -222,11 +256,7 @@ def _mul_mm(store, at, aw, bt, bw):
     key = (at, bt)
     r = store.ct_lookup(MUL_MM, key)
     if r is None:
-        la = store.mat.level[at]
-        lb = store.mat.level[bt]
-        level = la if la >= lb else lb
-        asucc = store.mat.succ[at] if la == level else identity_succ(at)
-        bsucc = store.mat.succ[bt] if lb == level else identity_succ(bt)
+        level, asucc, bsucc = _operands(store.mat, at, bt)
         edges = [ZERO_EDGE] * 4
         for i in (0, 1):
             for j in (0, 1):
@@ -238,49 +268,12 @@ def _mul_mm(store, at, aw, bt, bw):
                     if ebw == ZERO:
                         continue
                     m = _mul_mm(store, eat, eaw, ebt, ebw)
-                    if m[1] != ZERO:
-                        idx = 2 * i + k
-                        if edges[idx][1] == ZERO:
-                            edges[idx] = m
-                        else:
-                            edges[idx] = _add_m(store, edges[idx], m)
+                    idx = 2 * i + k
+                    if edges[idx][1] == ZERO:
+                        edges[idx] = m
+                    elif m[1] != ZERO:
+                        edges[idx] = _add(store, edges[idx], m, store.mat, ADD_M, make_matrix_node)
         r = make_matrix_node(store, level, edges)
         store.ct_insert(MUL_MM, key, r)
     w = wt.mul(wt.mul(aw, bw), r[1])
-    return ZERO_EDGE if w == ZERO else (r[0], w)
-
-
-def _add_m(store, a, b):
-    at, aw = a
-    bt, bw = b
-    if aw == ZERO:
-        return b
-    if bw == ZERO:
-        return a
-    wt = store.weights
-    if at == TERMINAL and bt == TERMINAL:
-        w = wt.add(aw, bw)
-        return ZERO_EDGE if w == ZERO else (TERMINAL, w)
-    if (bt, bw) < (at, aw):
-        at, aw, bt, bw = bt, bw, at, aw
-    rel = wt.div(bw, aw)
-    key = (at, bt, rel)
-    r = store.ct_lookup(ADD_M, key)
-    if r is None:
-        la = store.mat.level[at] if at >= 0 else -1
-        lb = store.mat.level[bt] if bt >= 0 else -1
-        level = la if la >= lb else lb
-        asucc = store.mat.succ[at] if la == level else identity_succ(at)
-        bsucc = store.mat.succ[bt] if lb == level else identity_succ(bt)
-        edges = []
-        for j in (0, 2, 4, 6):
-            ea = (asucc[j], asucc[j + 1])
-            ebw = bsucc[j + 1]
-            if ebw != ZERO:
-                ebw = wt.mul(rel, ebw)
-            eb = (bsucc[j], ebw) if ebw != ZERO else ZERO_EDGE
-            edges.append(_add_m(store, ea, eb))
-        r = make_matrix_node(store, level, edges)
-        store.ct_insert(ADD_M, key, r)
-    w = wt.mul(aw, r[1])
     return ZERO_EDGE if w == ZERO else (r[0], w)

@@ -12,15 +12,17 @@ Gate order in a Circuit is application order: the first gate in the list
 acts first, i.e. it is the rightmost factor of the circuit's operator.
 
 Supported QASM subset: `OPENQASM 2.0;` header, optional includes, one
-qreg, the gate set below but mcz, `pi`-expressions in parameters, which
-must evaluate to finite numbers. Classical registers and measurements
-are parsed and dropped with a warning; barriers are dropped silently.
+qreg whose name is an identifier, the gate set below but mcz,
+`pi`-expressions in parameters, which must evaluate to finite numbers.
+Classical registers and measurements are parsed and dropped with a
+warning; barriers are dropped silently.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -117,6 +119,10 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(as_index(q, "wire") for q in self.qubits))
+        for p in self.params:
+            # float() would parse "0.5" and take None or a complex to a TypeError
+            if not isinstance(p, numbers.Real):
+                raise ValueError(f"{self.name} parameter {p!r} is not a real number")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.name not in _GATES:
             raise ValueError(f"unsupported gate {self.name!r}")
@@ -297,7 +303,10 @@ class _Parser:
                 if circuit is not None:
                     self._err("duplicate qreg declaration")
                 self.pos += 1
-                qreg_name = self.take()
+                qreg_name = self.current()
+                if not qreg_name.isidentifier():
+                    self._err(f"expected a register name, got {qreg_name!r}")
+                self.pos += 1
                 self.expect("[")
                 size_tok = self.current()
                 if not size_tok.isdigit() or int(size_tok) < 1:

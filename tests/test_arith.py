@@ -281,6 +281,7 @@ def test_add_matrices_zero_neutral(store):
     m = make_gate_dd(store, GateSpec(H, 2), 5)
     assert _add_m(store, m, ZERO_EDGE) == m
     assert _add_m(store, ZERO_EDGE, m) == m
+    assert multiply_mm(store, m, ZERO_EDGE) == ZERO_EDGE
 
 
 def test_add_matrices_operands_at_different_levels(store):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,12 +104,28 @@ def test_gate_errors_reported_at_gate_name(line, col):
         ("OPENQASM 3.0;\nqreg q[1];\n", 1, 10),  # the version
         ("OPENQASM 2.0;\nqreg q[0];\n", 2, 8),  # the size
         ("OPENQASM 2.0;\nqreg q[1];\nrz(pi/0) q[0];\n", 3, 7),  # the divisor
+        # a register name that is not an identifier
+        ("OPENQASM 2.0;\nqreg 5[2];\nh 5[0];\n", 2, 6),
+        ("OPENQASM 2.0;\nqreg ;[2];\nh ;[0];\n", 2, 6),
+        ('OPENQASM 2.0;\nqreg "a b"[2];\n', 2, 6),
+        ("OPENQASM 2.0;\nqreg q[2];\nh q[0]; @x\n", 3, 9),  # unexpected character
+        ("OPENQASM 2.0;\nqreg q[2];\n\th q[0];\t$\n", 3, 10),  # unexpected character
+        ("", 1, 1),  # expected 'OPENQASM'
+        ("OPENQASM 2.0;\nqreg q[2];\nrz(q) q[0];\n", 3, 4),  # expected a number or pi
+        ("OPENQASM 2.0;\nqreg q[2];\nOPENQASM 2.0;\n", 3, 1),  # duplicate header
+        ("OPENQASM 2.0;\n", 1, 13),  # missing qreg declaration, at the last token
+        ("OPENQASM 2.0;\nqreg\n", 2, 1),  # unexpected end of input, at the last token
     ],
 )
 def test_bad_values_reported_at_their_token(text, line, col):
     with pytest.raises(QasmSyntaxError) as err:
         parse_qasm(text)
     assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_trailing_whitespace_ignored():
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[0];   \n")
+    assert [g.name for g in c.gates] == ["h"]
 
 
 def test_missing_header_rejected():
@@ -292,6 +309,27 @@ def test_non_integer_wire_rejected(wire):
     with pytest.raises(ValueError, match="is not an integer"):
         Gate("cx", (0, wire))
     assert c.gates == []
+
+
+@pytest.mark.parametrize(
+    "param", ["0.5", b"0.5", 1j, None], ids=["str", "bytes", "complex", "None"]
+)
+def test_non_real_parameter_rejected(param):
+    # float() would parse "0.5"; None and a complex raised TypeError
+    c = Circuit(1)
+    with pytest.raises(ValueError, match="rz parameter .* is not a real number"):
+        c.add("rz", 0, params=(param,))
+    with pytest.raises(ValueError, match="rz parameter .* is not a real number"):
+        Gate("rz", (0,), (param,))
+    assert c.gates == []
+
+
+def test_real_parameters_of_any_real_type_accepted():
+    for param in (np.float64(0.5), np.float32(0.5), Fraction(1, 2)):
+        gate = Gate("cp", (0, 1), (param,))
+        assert gate.params == (0.5,)
+        assert type(gate.params[0]) is float
+    assert Gate("rz", (0,), (1,)).params == (1.0,)
 
 
 def test_integer_wires_of_any_int_type_accepted():

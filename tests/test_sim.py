@@ -26,7 +26,7 @@ from qdd import (
     simulate_statevector,
     simulate_unitary,
 )
-from qdd.circuit import Circuit
+from qdd.circuit import Circuit, Gate
 from qdd.mdd import node_count as matrix_node_count
 from qdd.store import ZERO_EDGE
 from qdd.vdd import node_count as vector_node_count
@@ -221,6 +221,18 @@ def test_unitarity_rejected_before_simulation(monkeypatch):
     monkeypatch.setitem(circuit_mod._GATES, "h", (0, 0, (1, 0, 0, 2), circuit_mod._ONCE))
     store = NodeStore(2)
     with pytest.raises(ValueError, match="not unitary"):
+        simulate_statevector(circuit, "new", store=store)
+    assert store.vec.created == 0
+    assert store.mat.created == 0
+
+
+def test_out_of_range_wire_rejected_before_simulation():
+    # Circuit.add checks the range; a gate appended to the list directly
+    # meets the same check when the run lowers the circuit
+    circuit = Circuit(2)
+    circuit.gates.append(Gate("h", (2,)))
+    store = NodeStore(2)
+    with pytest.raises(ValueError, match="wire 2 out of range for 2 qubits"):
         simulate_statevector(circuit, "new", store=store)
     assert store.vec.created == 0
     assert store.mat.created == 0
