@@ -13,9 +13,10 @@ levels.
 The entry points multiply_mv, multiply_mm and add_vectors take edges
 only. An edge's extent follows from its target, so the level of a
 vector operand is its target's level, or -1 for the terminal and the
-zero stub. They check only what an edge cannot rule out: multiply_mv
-rejects a matrix rooted above a nonzero vector, and add_vectors two
-nonzero vectors of different heights; any two matrices multiply. The
+zero stub. They reject an operand whose node was swept (StoreError),
+and check only what an edge cannot rule out: multiply_mv rejects a
+matrix rooted above a nonzero vector, and add_vectors two nonzero
+vectors of different heights; any two matrices multiply. The
 matrix-vector recursion passes the level down as an argument: reading it
 from the pool's array("i") would box a new int for every level above
 256, on every call. Sums and matrix products read it there only on a
@@ -26,7 +27,10 @@ the canonical order of the operands, the relative-weight key, the table
 round trip and the scaling tail are written once, and the sum recurses
 over every successor pair of the operands. Only the pool, the table tag
 and the node constructor set a vector sum apart from a matrix sum;
-add_vectors and _add_m are the two entries.
+add_vectors and _add_m are the two entries. The canonical order sorts
+the operands by (creation index, weight), not by node id: the weight of
+the first is the one factored out, and node GC reissues ids, so an
+order by id would make the sum's rounding depend on when GC ran.
 
 Every routine strips the operand edge weights before consulting the
 compute table and multiplies them back into the result, so cached
@@ -76,8 +80,10 @@ def multiply_mv(store: NodeStore, u: tuple, v: tuple) -> tuple:
     """Matrix-vector product U*v. Skipped matrix levels act as identity; a
     terminal matrix edge is a scaled identity. The matrix may not be
     rooted above a nonzero vector."""
-    level = _vector_level(store, v)
     ut = u[0]
+    store.mat.check(ut)
+    store.vec.check(v[0])
+    level = _vector_level(store, v)
     if ut >= 0 and v[1] != ZERO and store.mat.level[ut] > level:
         raise StoreError(f"matrix rooted above the vector's level {level}")
     return _mul_mv(store, ut, u[1], v[0], v[1], level)
@@ -176,6 +182,8 @@ def _mul_mv(store, ut, uw, vt, vw, level):
 def add_vectors(store: NodeStore, a: tuple, b: tuple) -> tuple:
     """Elementwise sum of two states of one height; either may be a zero
     edge, and two terminal edges add as scalars."""
+    store.vec.check(a[0])
+    store.vec.check(b[0])
     level = _vector_level(store, a)
     other = _vector_level(store, b)
     if a[1] != ZERO and b[1] != ZERO and other != level:
@@ -219,7 +227,12 @@ def _add(store, a, b, pool, tag, make):
     if at == TERMINAL and bt == TERMINAL:
         w = wt.add(aw, bw)
         return ZERO_EDGE if w == ZERO else (TERMINAL, w)
-    if (bt, bw) < (at, aw):
+    # by creation index, not id: node GC reissues ids, and the order must
+    # not depend on when it ran (a terminal's negative id orders first)
+    born = pool.born
+    ak = born[at] if at >= 0 else at
+    bk = born[bt] if bt >= 0 else bt
+    if bk < ak or (bk == ak and bw < aw):
         at, aw, bt, bw = bt, bw, at, aw
     rel = wt.div(bw, aw)
     key = (at, bt, rel)
@@ -242,6 +255,8 @@ def _add(store, a, b, pool, tag, make):
 def multiply_mm(store: NodeStore, a: tuple, b: tuple) -> tuple:
     """Matrix-matrix product A*B; either operand may skip levels. If both
     skip a level the result skips it too."""
+    store.mat.check(a[0])
+    store.mat.check(b[0])
     return _mul_mm(store, a[0], a[1], b[0], b[1])
 
 

@@ -244,6 +244,7 @@ def matrix_entry(store: NodeStore, m: tuple, row: int, col: int, n: int) -> comp
     if not (0 <= row < (1 << n) and 0 <= col < (1 << n)):
         raise ValueError(f"entry ({row}, {col}) out of range for n={n}")
     target, w = m
+    store.mat.check(target)
     levels = store.mat.level
     if target >= 0 and levels[target] >= n:
         raise ValueError(f"matrix rooted at level {levels[target]}, not below n={n}")

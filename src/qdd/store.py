@@ -37,14 +37,23 @@ and table keys need no mode flag.
 Reference counts propagate transitively: when a node first becomes
 referenced its children gain a reference, and when it ceases to be they
 lose one. A node whose count is zero is reclaimable; reclamation is
-deferred to collect_garbage, which sweeps both pools and also clears the
-compute table and the legacy identity table because their entries may
-name swept nodes. Automatic collection only happens at safe points
-(maybe_collect), never in the middle of a recursion whose intermediate
-nodes are not yet referenced.
+deferred to collect_garbage, which sweeps both pools, rebuilds their
+unique tables from the nodes kept, and also clears the compute table and
+the legacy identity table because their entries may name swept nodes.
+Automatic collection only happens at safe points (maybe_collect), never
+in the middle of a recursion whose intermediate nodes are not yet
+referenced. It is due once a level table holds 2^15 nodes or a pool
+2^16. A swept id goes on the free list and is reissued, so an edge kept
+across node GC must be referenced: while its slot is free, check (and
+every readback and arithmetic entry point) raises StoreError.
 
 The pools keep the level of each node in an array("i"), so a level
-costs 4 bytes and no int object, however high it is.
+costs 4 bytes and no int object, however high it is. Beside it, an
+array("q") keeps each node's creation index, the number of nodes the
+pool had created before it. Without a sweep that is the node's id;
+after one, a reissued id carries a fresh index. Whatever reads node
+order (the operand order of a sum) reads the creation index, so when
+node GC runs changes no result.
 
 The compute table is a direct-mapped cache of one fixed size: one table
 of 65,536 slots per operation tag (ADD_V, ADD_M, MUL_MV, MUL_MM), slot
@@ -93,7 +102,7 @@ TABLE_GC_THRESHOLD = 1 << 15
 # Memory backstop: allocated nodes of one kind across all levels. The
 # per-table threshold alone never fires on chain-shaped workloads whose
 # total allocation still grows quadratically with the qubit count.
-GLOBAL_GC_THRESHOLD = 1 << 20
+GLOBAL_GC_THRESHOLD = 1 << 16
 
 
 class StoreError(RuntimeError):
@@ -106,17 +115,22 @@ class _Pool:
     level, and the counters and thresholds of node GC."""
 
     __slots__ = (
-        "level", "succ", "ref", "free", "tables", "hits", "reclaimed",
-        "table_limit", "global_limit", "pressure",
+        "kind", "level", "born", "succ", "ref", "free", "tables", "hits",
+        "reclaimed", "table_limit", "global_limit", "pressure",
     )
 
-    def __init__(self, num_levels: int) -> None:
+    def __init__(self, num_levels: int, kind: str) -> None:
+        self.kind = kind
         # unboxed, so a node keeps no int object for its level; ref stays
         # a list because the refcount walks read and write it per node
         self.level = array("i")
+        # creation index: how many nodes the pool had created before this
+        # one; equal to the id until a swept id is reissued
+        self.born = array("q")
         self.succ: list[tuple | None] = []
         self.ref: list[int] = []
-        self.free: list[int] = []
+        # swept ids, unboxed too: a sweep can free 2^16 of them at once
+        self.free = array("q")
         self.tables: list[dict] = [dict() for _ in range(num_levels)]
         # hits: lookups that found their node, ever; reclaimed: nodes swept,
         # ever. The other counters follow from these (see the properties).
@@ -135,23 +149,46 @@ class _Pool:
             self.hits += 1
             return node
         levels = self.level
-        for t in succ[::2]:
-            if t >= 0 and levels[t] >= level:
-                raise StoreError(f"successor level {levels[t]} not below node level {level}")
+        # unpacked per arity: every insert pays for this check, and a
+        # slice and a loop cost about twice as much
+        if len(succ) == 4:
+            t0, _, t1, _ = succ
+            if (t0 >= 0 and levels[t0] >= level) or (t1 >= 0 and levels[t1] >= level):
+                raise StoreError(f"a successor in {succ} is not below node level {level}")
+        else:
+            t0, _, t1, _, t2, _, t3, _ = succ
+            if (
+                (t0 >= 0 and levels[t0] >= level)
+                or (t1 >= 0 and levels[t1] >= level)
+                or (t2 >= 0 and levels[t2] >= level)
+                or (t3 >= 0 and levels[t3] >= level)
+            ):
+                raise StoreError(f"a successor in {succ} is not below node level {level}")
         free = self.free
         if free:
             node = free.pop()
             levels[node] = level
             self.succ[node] = succ
+            # the nodes created before this one: allocated + reclaimed
+            self.born[node] = len(levels) - len(free) - 1 + self.reclaimed
         else:
             node = len(levels)
             levels.append(level)
             self.succ.append(succ)
             self.ref.append(0)
+            self.born.append(node + self.reclaimed)
         table[succ] = node
         if len(table) > self.table_limit or len(levels) - len(free) > self.global_limit:
             self.pressure = True
         return node
+
+    def check(self, target: int) -> None:
+        """Raise StoreError if target is the id of a swept node: an edge
+        kept across node GC must be referenced."""
+        if target >= 0 and self.succ[target] is None:
+            raise StoreError(
+                f"{self.kind}{target} was swept; an edge kept across node GC must be referenced"
+            )
 
     @property
     def allocated(self) -> int:
@@ -169,17 +206,21 @@ class _Pool:
         return self.hits + self.created
 
     def sweep(self) -> int:
-        """Free every unreferenced node; returns the number freed."""
-        levels, succs, refs, free, tables = self.level, self.succ, self.ref, self.free, self.tables
+        """Free every unreferenced node; returns the number freed. Each
+        level's unique table is rebuilt from the nodes it keeps, which
+        also returns the room a table grew to before the sweep."""
+        succs, refs, free, tables = self.succ, self.ref, self.free, self.tables
         reclaimed = 0
-        for node in range(len(succs)):
-            succ = succs[node]
-            if succ is None or refs[node] != 0:
-                continue
-            del tables[levels[node]][succ]
-            succs[node] = None
-            free.append(node)
-            reclaimed += 1
+        for level, old in enumerate(tables):
+            kept = {}
+            for succ, node in old.items():
+                if refs[node]:
+                    kept[succ] = node
+                else:
+                    succs[node] = None
+                    free.append(node)
+                    reclaimed += 1
+            tables[level] = kept
         self.reclaimed += reclaimed
         self.pressure = False
         return reclaimed
@@ -188,6 +229,7 @@ class _Pool:
         """Ids of the nodes reachable from `target`, itself included."""
         if target < 0:
             return set()
+        self.check(target)
         succs = self.succ
         seen = {target}
         stack = [target]
@@ -201,15 +243,20 @@ class _Pool:
 
 class NodeStore:
     """Owns all nodes of one engine instance. Single-threaded by design;
-    independent stores may be used from different threads freely."""
+    independent stores may be used from different threads freely.
+
+    Node GC may run inside any simulate_* call and at every
+    collect_garbage(). The root a run returns stays referenced; any
+    other edge kept across either must be referenced (inc_ref) until it
+    is last used, or its nodes may be swept and their ids reissued."""
 
     def __init__(self, num_levels: int, mode: str = MODE_NEW) -> None:
         if num_levels < 1:
             raise ValueError("need at least one level")
         self.num_levels = num_levels
         self.weights = WeightTable()
-        self.vec = _Pool(num_levels)
-        self.mat = _Pool(num_levels)
+        self.vec = _Pool(num_levels, VEC)
+        self.mat = _Pool(num_levels, MAT)
         # Legacy identity edges I_0 .. I_k by top level (see mdd.identity_chain).
         self.identity_m: list[tuple] = []
         # Every weight pair vdd.make_vector_node has stored: normalized pairs
@@ -298,10 +345,9 @@ class NodeStore:
         target = edge[0]
         if target < 0:
             return
+        pool.check(target)
         refs = pool.ref
         succs = pool.succ
-        if succs[target] is None:
-            raise StoreError(f"{kind}{target} was swept")
         live = self._ref_live
         passes = 1 if step > 0 else 0
         stack = [target]

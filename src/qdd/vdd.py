@@ -97,6 +97,7 @@ def amplitude(store: NodeStore, v: tuple, index: int) -> complex:
     target, w = v
     if target == ZERO_STUB or w == ZERO:
         return 0j
+    store.vec.check(target)
     wt = store.weights
     # a terminal edge is a 0-level scalar
     n = store.vec.level[target] + 1 if target >= 0 else 0

@@ -15,6 +15,7 @@ from qdd import (
     StoreError,
     TERMINAL,
     VEC,
+    amplitude,
     export_dot,
     gen_ghz,
     make_basis_state,
@@ -354,7 +355,7 @@ def _qft_on_basis(n, x):
         ("qft5-unitary", "new", (1084, 0, 514, 341, 0, 187, 1049, 0, 1092)),
         ("qft5-unitary", "legacy", (1133, 0, 521, 341, 0, 929, 1452, 0, 1567)),
         ("qft9-unitary", "new", (249930, 0, 131074, 87381, 3, 4135, 249825, 0, 249942)),
-        ("qft8-unitary", "legacy", (112442, 0, 40138, 21845, 1, 61868, 170810, 0, 171182)),
+        ("qft8-unitary", "legacy", (128699, 0, 40138, 21845, 2, 48370, 201596, 0, 201973)),
     ],
 )
 def test_node_counts_pinned(case, mode, pinned):
@@ -380,6 +381,28 @@ def test_node_counts_pinned(case, mode, pinned):
         store.mat.lookups,
     )
     assert got == pinned
+
+
+def test_node_gc_timing_changes_no_result():
+    # QFT-64 legacy on one basis input: at 2^16 nodes per pool node GC
+    # sweeps once mid-run and reissues ids, at 2^30 it never runs. Sums
+    # order their operands by creation index, so both runs reach the same
+    # diagram through the same weights (ordered by id, the sweeping run
+    # ended at 176 nodes, 648 peak live and 7,894 weights)
+    circuit = _qft_on_basis(64, 0xA38B9238A0C1F58F)
+    indices = (0, 1, 0xB38D, 1 << 63, (1 << 64) - 1)
+    runs = []
+    for limit in (1 << 16, 1 << 30):
+        store = NodeStore(64)
+        store.vec.global_limit = store.mat.global_limit = limit
+        root, report = simulate_statevector(circuit, "legacy", store=store)
+        amplitudes = [amplitude(store, root, k) for k in indices]
+        runs.append((report.gc_runs, vector_node_count(store, root), report.peak_live_nodes,
+                     len(store.weights), amplitudes))
+    (swept, *collected), (unswept, *kept) = runs
+    assert (swept, unswept) == (1, 0)
+    assert collected == kept
+    assert kept[:3] == [190, 688, 6352]
 
 
 def _qpe_blowup(n: int, nodes: int):

@@ -137,6 +137,38 @@ def test_refcount_walk_on_a_swept_node_fails_before_counting(store):
     assert store.vec.ref[reused[0]] == 0 and store._ref_live == 0
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["reachable", "amplitude", "matrix_entry", "multiply_mv", "multiply_mm", "add_vectors"],
+)
+def test_swept_root_edge_fails_naming_the_node(entry):
+    # an unreferenced edge kept across node GC names a free slot; while it
+    # stays free, each entry point refuses it instead of reading None
+    from qdd import add_vectors, matrix_entry, multiply_mm, multiply_mv
+
+    store = NodeStore(4)
+    state = make_basis_state(store, 4, "0000")
+    gate = make_gate_dd(store, GateSpec(X, 3, ((0, True),)), 4)
+    store.inc_ref(VEC, state)
+    store.inc_ref(MAT, gate)
+    lost_state = make_basis_state(store, 4, "1010")
+    lost_gate = make_gate_dd(store, GateSpec(X, 2), 4)
+    store.collect_garbage()
+    calls = {
+        "reachable": (VEC, lambda: store.vec.reachable(lost_state[0])),
+        "amplitude": (VEC, lambda: amplitude(store, lost_state, 0)),
+        "matrix_entry": (MAT, lambda: matrix_entry(store, lost_gate, 0, 0, 4)),
+        "multiply_mv": (MAT, lambda: multiply_mv(store, lost_gate, state)),
+        "multiply_mm": (MAT, lambda: multiply_mm(store, gate, lost_gate)),
+        "add_vectors": (VEC, lambda: add_vectors(store, state, lost_state)),
+    }
+    kind, call = calls[entry]
+    lost = lost_state if kind == VEC else lost_gate
+    assert store.pool(kind).succ[lost[0]] is None
+    with pytest.raises(StoreError, match=f"^{kind}{lost[0]} was swept"):
+        call()
+
+
 def test_matrix_refcount_walk_counts_shared_nodes():
     # a legacy CX shares identity-chain nodes between its quadrants and
     # its control level; each node is live once, however many parents
