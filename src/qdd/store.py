@@ -3,15 +3,15 @@
 Vector nodes (2 successors) and matrix nodes (4 successors) live in two
 pools of one shape, store.vec and store.mat. A pool holds the per-level
 unique tables, the level, successor tuple and reference count of each
-node, a free list and the node-GC pressure state; node handles are plain
-ints with one id space per pool. One method, lookup(level, succ), finds
-or inserts a node of either kind; it counts only its hits, and sweep
-the nodes it frees. The other counters follow from these and the node
-lists: allocated is the ids in use, created is allocated plus reclaimed,
-and lookups is hits plus created. inc_ref and dec_ref are one refcount
-walk, stepping by +1 or -1; it takes a kind, VEC or MAT, and runs one
-loop per arity, so no per-node step dispatches on the kind; any other
-kind raises StoreError. Two sentinel targets live below every level:
+node and a free list; node handles are plain ints with one id space per
+pool. One method, lookup(level, succ), finds or inserts a node of either
+kind; it counts only its hits, and sweep the nodes it frees. The other
+counters follow from these and the node lists: allocated is the ids in
+use, created is allocated plus reclaimed, and lookups is hits plus
+created. inc_ref and dec_ref are one refcount walk, stepping by +1 or
+-1; it takes a kind, VEC or MAT, and runs one loop per arity, so no
+per-node step dispatches on the kind; any other kind raises StoreError.
+Two sentinel targets live below every level:
 
     TERMINAL  -- the path end; a matrix edge pointing at it denotes a
                  scaled identity over every level it skips
@@ -42,10 +42,12 @@ unique tables from the nodes kept, and also clears the compute table and
 the legacy identity table because their entries may name swept nodes.
 Automatic collection only happens at safe points (maybe_collect), never
 in the middle of a recursion whose intermediate nodes are not yet
-referenced. It is due once a level table holds 2^15 nodes or a pool
-2^16. A swept id goes on the free list and is reissued, so an edge kept
-across node GC must be referenced: while its slot is free, check (and
-every readback and arithmetic entry point) raises StoreError.
+referenced. It is due once either pool holds more than
+NodeStore.gc_limit nodes: 2^16 at first, doubled after each sweep that
+frees under a quarter of the nodes. A swept id goes on the free list and
+is reissued, so an edge kept across node GC must be referenced: while
+its slot is free, check (and every readback and arithmetic entry point)
+raises StoreError, as it does for an id the pool never issued.
 
 The pools keep the level of each node in an array("i"), so a level
 costs 4 bytes and no int object, however high it is. Beside it, an
@@ -97,12 +99,9 @@ _CT_MASK = 0xFFFF
 # slot, so the dict is the smaller up to about a quarter full.
 _CT_SPARSE_MAX = (_CT_MASK + 1) >> 4
 
-# Per-(kind, level) unique-table size that signals collection pressure.
-TABLE_GC_THRESHOLD = 1 << 15
-# Memory backstop: allocated nodes of one kind across all levels. The
-# per-table threshold alone never fires on chain-shaped workloads whose
-# total allocation still grows quadratically with the qubit count.
-GLOBAL_GC_THRESHOLD = 1 << 16
+# Allocated nodes of one kind, across all levels, past which node GC is
+# due at the next safe point (the starting NodeStore.gc_limit).
+GC_THRESHOLD = 1 << 16
 
 
 class StoreError(RuntimeError):
@@ -112,11 +111,11 @@ class StoreError(RuntimeError):
 class _Pool:
     """The nodes of one kind: level, flat successor tuple and reference
     count per node id, a free list of swept ids, one unique table per
-    level, and the counters and thresholds of node GC."""
+    level, and the counters of lookups and sweeps."""
 
     __slots__ = (
         "kind", "level", "born", "succ", "ref", "free", "tables", "hits",
-        "reclaimed", "table_limit", "global_limit", "pressure",
+        "reclaimed",
     )
 
     def __init__(self, num_levels: int, kind: str) -> None:
@@ -136,9 +135,6 @@ class _Pool:
         # ever. The other counters follow from these (see the properties).
         self.hits = 0
         self.reclaimed = 0
-        self.table_limit = TABLE_GC_THRESHOLD
-        self.global_limit = GLOBAL_GC_THRESHOLD
-        self.pressure = False
 
     def lookup(self, level: int, succ: tuple) -> int:
         """Canonical node for a flat successor tuple (t0, w0, t1, w1, ...);
@@ -178,14 +174,16 @@ class _Pool:
             self.ref.append(0)
             self.born.append(node + self.reclaimed)
         table[succ] = node
-        if len(table) > self.table_limit or len(levels) - len(free) > self.global_limit:
-            self.pressure = True
         return node
 
     def check(self, target: int) -> None:
-        """Raise StoreError if target is the id of a swept node: an edge
-        kept across node GC must be referenced."""
-        if target >= 0 and self.succ[target] is None:
+        """Raise StoreError unless target is TERMINAL, ZERO_STUB or the id
+        of a node the pool holds: an id it never issued, or the id of a
+        swept node (an edge kept across node GC must be referenced)."""
+        succs = self.succ
+        if not ZERO_STUB <= target < len(succs):
+            raise StoreError(f"{self.kind}{target} was never issued")
+        if target >= 0 and succs[target] is None:
             raise StoreError(
                 f"{self.kind}{target} was swept; an edge kept across node GC must be referenced"
             )
@@ -222,14 +220,13 @@ class _Pool:
                     reclaimed += 1
             tables[level] = kept
         self.reclaimed += reclaimed
-        self.pressure = False
         return reclaimed
 
     def reachable(self, target: int) -> set[int]:
         """Ids of the nodes reachable from `target`, itself included."""
+        self.check(target)
         if target < 0:
             return set()
-        self.check(target)
         succs = self.succ
         seen = {target}
         stack = [target]
@@ -268,6 +265,8 @@ class NodeStore:
         self._ref_live = 0
         self.peak_live = 0
         self.gc_runs = 0
+        # node GC is due once either pool holds more nodes than this
+        self.gc_limit = GC_THRESHOLD
         self.ct_hits = 0
         self.ct_misses = 0
         self._mode = MODE_NEW
@@ -339,13 +338,14 @@ class NodeStore:
         """Add step (+1 or -1) to the count of edge's target. A node whose
         count reaches 1 going up or 0 going down passes the step on to its
         children. An underflow stops the walk, and _ref_live keeps the
-        nodes it released before. A swept target raises before any count
-        changes; the children of an allocated node are allocated."""
+        nodes it released before. A target the pool does not hold (see
+        check) raises before any count changes; the children of an
+        allocated node are allocated."""
         pool = self.pool(kind)
         target = edge[0]
+        pool.check(target)
         if target < 0:
             return
-        pool.check(target)
         refs = pool.ref
         succs = pool.succ
         live = self._ref_live
@@ -401,7 +401,8 @@ class NodeStore:
         from a positively-referenced root iff its own count is positive.
         The compute tables and the identity table are dropped
         since their entries may point at swept nodes. A sweep that frees
-        under a quarter of the nodes doubles both pools' thresholds.
+        under a quarter of the nodes doubles gc_limit, so a run whose
+        nodes stay live does not sweep over and over.
         """
         pools = (self.vec, self.mat)
         before = sum(pool.allocated for pool in pools)
@@ -410,15 +411,14 @@ class NodeStore:
         self.identity_m.clear()
         self.gc_runs += 1
         if before and reclaimed < before * 0.25:
-            for pool in pools:
-                pool.table_limit *= 2
-                pool.global_limit *= 2
+            self.gc_limit *= 2
         return reclaimed
 
     def maybe_collect(self) -> int:
-        """Collect iff some table crossed its threshold. Call only at safe
-        points: every unreferenced node is swept."""
-        if self.vec.pressure or self.mat.pressure:
+        """Collect iff either pool holds more than gc_limit nodes. Call
+        only at safe points: every unreferenced node is swept. A pool only
+        grows between sweeps, so a count read here sees every crossing."""
+        if self.vec.allocated > self.gc_limit or self.mat.allocated > self.gc_limit:
             return self.collect_garbage()
         return 0
 

@@ -344,7 +344,9 @@ def _qft_on_basis(n, x):
 # unique-table lookups). Node counts are the paper's metric: a change that
 # only makes the engine faster must leave every figure as it is. The table
 # counters fail a layout change that remaps compute-table slots. The QFT-9
-# and QFT-8 unitaries are the cases in which node GC sweeps both pools.
+# and QFT-8 unitaries are the cases in which node GC sweeps both pools;
+# the timing of the sweeps moves their created, table and GC counters,
+# never their peak live or final nodes.
 @pytest.mark.parametrize(
     "case, mode, pinned",
     [
@@ -355,7 +357,7 @@ def _qft_on_basis(n, x):
         ("qft5-unitary", "new", (1084, 0, 514, 341, 0, 187, 1049, 0, 1092)),
         ("qft5-unitary", "legacy", (1133, 0, 521, 341, 0, 929, 1452, 0, 1567)),
         ("qft9-unitary", "new", (249930, 0, 131074, 87381, 3, 4135, 249825, 0, 249942)),
-        ("qft8-unitary", "legacy", (128699, 0, 40138, 21845, 2, 48370, 201596, 0, 201973)),
+        ("qft8-unitary", "legacy", (113916, 0, 40138, 21845, 1, 62283, 176963, 0, 177335)),
     ],
 )
 def test_node_counts_pinned(case, mode, pinned):
@@ -394,7 +396,7 @@ def test_node_gc_timing_changes_no_result():
     runs = []
     for limit in (1 << 16, 1 << 30):
         store = NodeStore(64)
-        store.vec.global_limit = store.mat.global_limit = limit
+        store.gc_limit = limit
         root, report = simulate_statevector(circuit, "legacy", store=store)
         amplitudes = [amplitude(store, root, k) for k in indices]
         runs.append((report.gc_runs, vector_node_count(store, root), report.peak_live_nodes,

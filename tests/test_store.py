@@ -139,12 +139,20 @@ def test_refcount_walk_on_a_swept_node_fails_before_counting(store):
 
 @pytest.mark.parametrize(
     "entry",
-    ["reachable", "amplitude", "matrix_entry", "multiply_mv", "multiply_mm", "add_vectors"],
+    [
+        "reachable", "amplitude", "matrix_entry", "multiply_mv", "multiply_mm", "add_vectors",
+        "amplitude-unissued", "inc_ref-unissued", "node_count-unissued",
+        "multiply_mv-unissued", "amplitude-negative", "multiply_mv-negative",
+    ],
 )
 def test_swept_root_edge_fails_naming_the_node(entry):
     # an unreferenced edge kept across node GC names a free slot; while it
-    # stays free, each entry point refuses it instead of reading None
+    # stays free, each entry point refuses it instead of reading None. An
+    # id the pool never issued, past its end or below ZERO_STUB, is
+    # refused the same way instead of raising IndexError or reading
+    # from the end of the pool
     from qdd import add_vectors, matrix_entry, multiply_mm, multiply_mv
+    from qdd.vdd import node_count
 
     store = NodeStore(4)
     state = make_basis_state(store, 4, "0000")
@@ -154,18 +162,30 @@ def test_swept_root_edge_fails_naming_the_node(entry):
     lost_state = make_basis_state(store, 4, "1010")
     lost_gate = make_gate_dd(store, GateSpec(X, 2), 4)
     store.collect_garbage()
+    past_end, negative = (10**6, ONE), (-5, ONE)
     calls = {
-        "reachable": (VEC, lambda: store.vec.reachable(lost_state[0])),
-        "amplitude": (VEC, lambda: amplitude(store, lost_state, 0)),
-        "matrix_entry": (MAT, lambda: matrix_entry(store, lost_gate, 0, 0, 4)),
-        "multiply_mv": (MAT, lambda: multiply_mv(store, lost_gate, state)),
-        "multiply_mm": (MAT, lambda: multiply_mm(store, gate, lost_gate)),
-        "add_vectors": (VEC, lambda: add_vectors(store, state, lost_state)),
+        "reachable": (VEC, lost_state, lambda: store.vec.reachable(lost_state[0])),
+        "amplitude": (VEC, lost_state, lambda: amplitude(store, lost_state, 0)),
+        "matrix_entry": (MAT, lost_gate, lambda: matrix_entry(store, lost_gate, 0, 0, 4)),
+        "multiply_mv": (MAT, lost_gate, lambda: multiply_mv(store, lost_gate, state)),
+        "multiply_mm": (MAT, lost_gate, lambda: multiply_mm(store, gate, lost_gate)),
+        "add_vectors": (VEC, lost_state, lambda: add_vectors(store, state, lost_state)),
+        "amplitude-unissued": (VEC, past_end, lambda: amplitude(store, past_end, 0)),
+        "inc_ref-unissued": (VEC, past_end, lambda: store.inc_ref(VEC, past_end)),
+        "node_count-unissued": (VEC, past_end, lambda: node_count(store, past_end)),
+        "multiply_mv-unissued": (
+            VEC, past_end, lambda: multiply_mv(store, (TERMINAL, ONE), past_end)
+        ),
+        "amplitude-negative": (VEC, negative, lambda: amplitude(store, negative, 0)),
+        "multiply_mv-negative": (MAT, negative, lambda: multiply_mv(store, negative, state)),
     }
-    kind, call = calls[entry]
-    lost = lost_state if kind == VEC else lost_gate
-    assert store.pool(kind).succ[lost[0]] is None
-    with pytest.raises(StoreError, match=f"^{kind}{lost[0]} was swept"):
+    kind, lost, call = calls[entry]
+    if lost in (lost_state, lost_gate):
+        assert store.pool(kind).succ[lost[0]] is None
+        reason = "was swept"
+    else:
+        reason = "was never issued"
+    with pytest.raises(StoreError, match=f"^{kind}{lost[0]} {reason}"):
         call()
 
 
@@ -407,31 +427,49 @@ def test_peak_live_tracks_referenced_nodes():
     assert report.peak_live_nodes < 4 * 64
 
 
-def test_automatic_gc_triggers_on_table_pressure():
+def test_automatic_gc_triggers_on_vector_pool_size():
+    # the matrix pool stays empty: the vector pool alone must be enough
+    # to trigger a sweep
     store = NodeStore(4)
-    store.vec.table_limit = 64
+    store.gc_limit = 64
     for k in range(80):  # distinct unreferenced level-0 nodes
         w = store.weights.intern(0.001 + k, 0.0)
         store.vec.lookup(0, (TERMINAL, w, ZERO_STUB, ZERO))
-    assert store.maybe_collect() > 0
+    assert store.mat.allocated == 0
+    assert store.maybe_collect() == 80
     assert store.gc_runs == 1
     assert store.vec.allocated == 0
-    assert store.maybe_collect() == 0  # pressure cleared
+    assert store.maybe_collect() == 0  # the pool is under the limit again
 
 
-def test_automatic_gc_triggers_on_matrix_table_pressure():
-    # the vector pool stays under its limits: the matrix pool alone
-    # must be enough to trigger a sweep
+def test_automatic_gc_triggers_on_matrix_pool_size():
+    # the vector pool stays under the limit: the matrix pool alone must
+    # be enough to trigger a sweep
     store = NodeStore(4)
-    store.mat.table_limit = 64
+    store.gc_limit = 64
     for k in range(80):  # distinct unreferenced level-0 nodes
         w = store.weights.intern(0.001 + k, 0.0)
         store.mat.lookup(0, (TERMINAL, w, ZERO_STUB, ZERO, ZERO_STUB, ZERO, TERMINAL, ONE))
-    assert not store.vec.pressure
+    assert store.vec.allocated <= store.gc_limit
     assert store.maybe_collect() == 80
     assert store.gc_runs == 1
     assert store.mat.allocated == 0
-    assert store.maybe_collect() == 0  # pressure cleared
+    assert store.maybe_collect() == 0  # the pool is under the limit again
+
+
+@pytest.mark.parametrize("kept, doubled", [(61, True), (60, False), (59, False)])
+def test_sweep_that_frees_under_a_quarter_doubles_gc_limit(kept, doubled):
+    # 80 nodes, `kept` of them referenced: 19 freed is under a quarter
+    # (20), 20 and 21 freed are not
+    store = NodeStore(4)
+    store.gc_limit = 64
+    for k in range(80):
+        w = store.weights.intern(0.001 + k, 0.0)
+        node = store.vec.lookup(0, (TERMINAL, w, ZERO_STUB, ZERO))
+        if k < kept:
+            store.inc_ref(VEC, (node, ONE))
+    assert store.maybe_collect() == 80 - kept
+    assert store.gc_limit == (128 if doubled else 64)
 
 
 def test_reachability_oracle_matches_refcounts():
@@ -456,8 +494,8 @@ def test_reachability_oracle_matches_refcounts():
 @pytest.mark.parametrize(
     "mode, pinned",
     [
-        ("new", (6, 993, 1347, 126, 222)),
-        ("legacy", (6, 993, 1654, 371, 632)),
+        ("new", (17, 1022, 1356, 185, 222)),
+        ("legacy", (17, 1022, 1702, 565, 686)),
     ],
 )
 def test_derived_counters_across_node_gc(mode, pinned):
@@ -467,7 +505,7 @@ def test_derived_counters_across_node_gc(mode, pinned):
     from qdd import generate, simulate_statevector
 
     store = NodeStore(6)
-    store.vec.table_limit = store.mat.table_limit = 32
+    store.gc_limit = 64
     simulate_statevector(generate("grover", 6), mode, store=store)
     vec, mat = store.vec, store.mat
     assert (store.gc_runs, vec.created, vec.lookups, mat.created, mat.lookups) == pinned
