@@ -24,7 +24,6 @@ from .store import (
     TERMINAL,
     VEC,
     ZERO_EDGE,
-    ZERO_STUB,
 )
 from .vdd import amplitude, make_basis_state, make_vector_node, vnorm2
 from .mdd import (
@@ -62,8 +61,7 @@ from .sim import SimReport, export_dot, run_deep, simulate_statevector, simulate
 __all__ = [
     "__version__",
     "ONE", "TOLERANCE", "WeightError", "WeightTable", "ZERO",
-    "MAT", "MODE_LEGACY", "MODE_NEW", "NodeStore", "StoreError", "TERMINAL", "VEC",
-    "ZERO_EDGE", "ZERO_STUB",
+    "MAT", "MODE_LEGACY", "MODE_NEW", "NodeStore", "StoreError", "TERMINAL", "VEC", "ZERO_EDGE",
     "amplitude", "make_basis_state", "make_vector_node", "vnorm2",
     "GateSpec", "identity_chain", "make_gate_dd", "make_matrix_node",
     "matrix_entry", "resembles_identity",

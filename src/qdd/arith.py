@@ -12,11 +12,11 @@ levels.
 
 The entry points multiply_mv, multiply_mm and add_vectors take edges
 only. An edge's extent follows from its target, so the level of a
-vector operand is its target's level, or -1 for the terminal and the
-zero stub. They reject an operand whose node was swept (StoreError),
-and check only what an edge cannot rule out: multiply_mv rejects a
-matrix rooted above a nonzero vector, and add_vectors two nonzero
-vectors of different heights; any two matrices multiply. The
+vector operand is its target's level, or -1 for the terminal, which
+every zero edge points at. They reject an operand whose node was swept
+(StoreError), and check only what an edge cannot rule out: multiply_mv
+rejects a matrix rooted above a nonzero vector, and add_vectors two
+nonzero vectors of different heights; any two matrices multiply. The
 matrix-vector recursion passes the level down as an argument: reading it
 from the pool's array("i") would box a new int for every level above
 256, on every call. Sums and matrix products read it there only on a
@@ -72,7 +72,7 @@ from .weights import ONE, ZERO
 
 def _vector_level(store: NodeStore, v: tuple) -> int:
     """Root level of a vector edge: its target's, or -1 for the terminal
-    and the zero stub."""
+    (a zero edge's target too)."""
     return store.vec.level[v[0]] if v[0] >= 0 else -1
 
 
@@ -137,7 +137,7 @@ def _mul_mv(store, ut, uw, vt, vw, level):
             return ZERO_EDGE
     if ut == TERMINAL:
         return (vt, ow)
-    # only after the returns above: array("i") would take a stub's
+    # only after the returns above: array("i") would take the terminal's
     # negative id as an index and read some other node's level
     ulevel = store.mat.level[ut]
     if ulevel < level:
@@ -225,8 +225,8 @@ def _add(store, a, b, pool, tag, make):
         return a
     wt = store.weights
     if at == TERMINAL and bt == TERMINAL:
-        w = wt.add(aw, bw)
-        return ZERO_EDGE if w == ZERO else (TERMINAL, w)
+        # a sum that cancels is (TERMINAL, ZERO): already the zero edge
+        return (TERMINAL, wt.add(aw, bw))
     # by creation index, not id: node GC reissues ids, and the order must
     # not depend on when it ran (a terminal's negative id orders first)
     born = pool.born

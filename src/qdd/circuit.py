@@ -27,7 +27,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from .mdd import GateSpec, as_index
+from .mdd import GateSpec
+from .store import as_index
 
 # correctly rounded 1/sqrt(2); 1/math.sqrt(2) lands one ulp low
 _SQ2 = math.sqrt(0.5)

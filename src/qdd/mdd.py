@@ -34,10 +34,11 @@ candidates in exactly the [1, 0, 0, 1] form the skip test looks for.
 GateSpec indices are DD levels (level 0 = bottom row, least-significant
 bit of entry indices). The circuit layer maps its wire numbering onto
 levels before reaching this module. A GateSpec checks its base once,
-when it is made: a non-finite or non-unitary base raises ValueError
-there. GateSpec.validate(n), which make_gate_dd calls, checks only the
-levels against the qubit count. Matrix edges share the zero edge
-store.ZERO_EDGE with vector edges.
+when it is made: a base entry that is not a number, or a non-finite or
+non-unitary base, raises ValueError there. GateSpec.validate(n), which
+make_gate_dd calls, checks only the levels against the qubit count.
+Matrix edges share the zero edge store.ZERO_EDGE = (TERMINAL, ZERO)
+with vector edges: the terminal edge w*I with w = 0, the zero operator.
 
 Controls below the target and negative controls are supported by the
 same per-level rule as controls above it, with the active and inactive
@@ -49,22 +50,13 @@ oracles in the test suite.
 from __future__ import annotations
 
 import cmath
-import operator
+import numbers
 from dataclasses import dataclass
 
-from .store import MODE_LEGACY, NodeStore, TERMINAL, ZERO_EDGE, ZERO_STUB
+from .store import MODE_LEGACY, NodeStore, TERMINAL, ZERO_EDGE, as_index
 from .weights import ONE, ZERO
 
 _UNITARY_TOL = 1e-10
-
-
-def as_index(value, what: str) -> int:
-    """value as an int by operator.index: a float, a string or any other
-    non-integer raises ValueError, where int() would truncate or parse it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,10 @@ class GateSpec:
     controls: tuple[tuple[int, bool], ...] = ()
 
     def __post_init__(self):
-        base = tuple(complex(u) for u in self.base)
+        # complex() would parse "1j" and take None to a TypeError
+        if not all(isinstance(u, numbers.Number) for u in self.base):
+            raise ValueError(f"gate base {self.base!r} has an entry that is not a number")
+        base = tuple(map(complex, self.base))
         if not all(cmath.isfinite(u) for u in base):
             raise ValueError("gate base has a non-finite entry")
         u00, u01, u10, u11 = base
@@ -113,21 +108,14 @@ class GateSpec:
 def identity_succ(t: int) -> tuple:
     """Flat successors (t0, w0, ..., t3, w3) of an identity level over
     target t: what a level reads as when a matrix edge to t skips it."""
-    return (t, ONE, ZERO_STUB, ZERO, ZERO_STUB, ZERO, t, ONE)
+    return (t, ONE, TERMINAL, ZERO, TERMINAL, ZERO, t, ONE)
 
 
 def resembles_identity(t0, w0, t1, w1, t2, w2, t3, w3) -> bool:
     """True iff normalized flat successors (t0, w0, ..., t3, w3) form an
     identity level: first and last edge share one target with weight one,
     the middle two are zero."""
-    return (
-        w1 == ZERO
-        and w2 == ZERO
-        and t0 == t3
-        and t0 != ZERO_STUB
-        and w0 == ONE
-        and w3 == ONE
-    )
+    return w1 == ZERO and w2 == ZERO and t0 == t3 and w0 == ONE and w3 == ONE
 
 
 def make_matrix_node(store: NodeStore, level: int, succ) -> tuple:
@@ -149,15 +137,16 @@ def make_matrix_node(store: NodeStore, level: int, succ) -> tuple:
         w2 = div(w2, norm)
         w3 = div(w3, norm)
     # after the division, so a weight tiny next to the norm that interned
-    # to ZERO there gets the stub too (dropping it leaves the norm as is)
+    # to ZERO there points at the terminal too (dropping it leaves the
+    # norm as is)
     if w0 == ZERO:
-        t0 = ZERO_STUB
+        t0 = TERMINAL
     if w1 == ZERO:
-        t1 = ZERO_STUB
+        t1 = TERMINAL
     if w2 == ZERO:
-        t2 = ZERO_STUB
+        t2 = TERMINAL
     if w3 == ZERO:
-        t3 = ZERO_STUB
+        t3 = TERMINAL
     # the mode last: only identity shapes read it
     if resembles_identity(t0, w0, t1, w1, t2, w2, t3, w3) and store.mode != MODE_LEGACY:
         return (t0, norm)

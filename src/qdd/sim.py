@@ -33,7 +33,7 @@ from . import __version__
 from .circuit import Circuit
 from .mdd import identity_chain, make_gate_dd
 from .arith import multiply_mm, multiply_mv
-from .store import MAT, NodeStore, TERMINAL, VEC, ZERO_STUB
+from .store import MAT, NodeStore, TERMINAL, VEC
 from .vdd import make_basis_state
 from .weights import ONE, TOLERANCE, ZERO
 
@@ -193,7 +193,7 @@ def export_dot(store: NodeStore, edge: tuple, kind: str = VEC) -> str:
 
     lines = ["digraph dd {", "  rankdir=TB;", "  node [fontsize=10];"]
     lines.append('  root [shape=none, label=""];')
-    if target != ZERO_STUB:
+    if w != ZERO:
         lines.append('  term [shape=box, label="1"];')
     ranks = sorted(by_level.items(), reverse=True)
     for level, nodes in ranks:
@@ -203,7 +203,7 @@ def export_dot(store: NodeStore, edge: tuple, kind: str = VEC) -> str:
 
     def draw(src: str, t: int, sw: int, label: str) -> None:
         """One edge; a zero edge ends in a stub of its own, dashed."""
-        if t == ZERO_STUB or sw == ZERO:
+        if sw == ZERO:
             stub = f"z{next(stubs)}"
             lines.append(f"  {stub} [shape=point, width=0.08, style=filled];")
             lines.append(f'  {src} -> {stub} [label="{label}", style=dashed];')

@@ -5,22 +5,22 @@ pools of one shape, store.vec and store.mat. A pool holds the per-level
 unique tables, the level, successor tuple and reference count of each
 node and a free list; node handles are plain ints with one id space per
 pool. One method, lookup(level, succ), finds or inserts a node of either
-kind; it counts only its hits, and sweep the nodes it frees. The other
-counters follow from these and the node lists: allocated is the ids in
-use, created is allocated plus reclaimed, and lookups is hits plus
-created. inc_ref and dec_ref are one refcount walk, stepping by +1 or
--1; it takes a kind, VEC or MAT, and runs one loop per arity, so no
-per-node step dispatches on the kind; any other kind raises StoreError.
-Two sentinel targets live below every level:
-
-    TERMINAL  -- the path end; a matrix edge pointing at it denotes a
-                 scaled identity over every level it skips
-    ZERO_STUB -- the all-zero subtree
+kind, and raises StoreError for a level outside the store; it counts
+only its hits, and sweep the nodes it frees. The other counters follow
+from these and the node lists: allocated is the ids in use, created is
+allocated plus reclaimed, and lookups is hits plus created. inc_ref
+and dec_ref are one refcount walk, stepping by +1 or -1; it takes a
+kind, VEC or MAT, and runs one loop per arity, so no per-node step
+dispatches on the kind; any other kind raises StoreError.
+One sentinel target lives below every level, TERMINAL (-1): the path
+end. A matrix edge pointing at it denotes a scaled identity over every
+level it skips. It is the only negative id.
 
 An edge is a (target, weight-handle) pair. Successor tuples are stored
-flat, (t0, w0, t1, w1, ...), so unique-table keys hash fast. The zero
-edge of both node kinds is ZERO_EDGE = (ZERO_STUB, weights.ZERO): a
-weight of ZERO never appears on any other target.
+flat, (t0, w0, t1, w1, ...), so unique-table keys hash fast. An edge is
+zero exactly when its weight is weights.ZERO, and a zero edge always
+points at the terminal: the zero edge of both node kinds is ZERO_EDGE =
+(TERMINAL, ZERO), the zero operator as the scaled identity 0*I.
 
 A store holds one representation, its mode:
 
@@ -72,13 +72,13 @@ the (target, weight) result edge afresh.
 
 from __future__ import annotations
 
+import operator
 from array import array
 
 from .weights import ZERO, WeightTable
 
 TERMINAL = -1
-ZERO_STUB = -2
-ZERO_EDGE = (ZERO_STUB, ZERO)
+ZERO_EDGE = (TERMINAL, ZERO)
 
 VEC = "v"
 MAT = "m"
@@ -108,6 +108,15 @@ class StoreError(RuntimeError):
     """Structural violation or refcount misuse; always a caller bug."""
 
 
+def as_index(value, what: str) -> int:
+    """value as an int by operator.index: a float, a string or any other
+    non-integer raises ValueError, where int() would truncate or parse it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 class _Pool:
     """The nodes of one kind: level, flat successor tuple and reference
     count per node id, a free list of swept ids, one unique table per
@@ -130,7 +139,8 @@ class _Pool:
         self.ref: list[int] = []
         # swept ids, unboxed too: a sweep can free 2^16 of them at once
         self.free = array("q")
-        self.tables: list[dict] = [dict() for _ in range(num_levels)]
+        # keyed by level, so a level outside the store finds no table
+        self.tables: dict[int, dict] = {level: {} for level in range(num_levels)}
         # hits: lookups that found their node, ever; reclaimed: nodes swept,
         # ever. The other counters follow from these (see the properties).
         self.hits = 0
@@ -138,8 +148,12 @@ class _Pool:
 
     def lookup(self, level: int, succ: tuple) -> int:
         """Canonical node for a flat successor tuple (t0, w0, t1, w1, ...);
-        inserts it if absent."""
-        table = self.tables[level]
+        inserts it if absent. A level outside the store raises StoreError
+        before any table is read."""
+        try:
+            table = self.tables[level]
+        except KeyError:
+            raise StoreError(f"level {level} is outside the store") from None
         node = table.get(succ)
         if node is not None:
             self.hits += 1
@@ -177,11 +191,11 @@ class _Pool:
         return node
 
     def check(self, target: int) -> None:
-        """Raise StoreError unless target is TERMINAL, ZERO_STUB or the id
-        of a node the pool holds: an id it never issued, or the id of a
-        swept node (an edge kept across node GC must be referenced)."""
+        """Raise StoreError unless target is TERMINAL or the id of a node
+        the pool holds: an id it never issued, or the id of a swept node
+        (an edge kept across node GC must be referenced)."""
         succs = self.succ
-        if not ZERO_STUB <= target < len(succs):
+        if not TERMINAL <= target < len(succs):
             raise StoreError(f"{self.kind}{target} was never issued")
         if target >= 0 and succs[target] is None:
             raise StoreError(
@@ -209,7 +223,7 @@ class _Pool:
         also returns the room a table grew to before the sweep."""
         succs, refs, free, tables = self.succ, self.ref, self.free, self.tables
         reclaimed = 0
-        for level, old in enumerate(tables):
+        for level, old in tables.items():
             kept = {}
             for succ, node in old.items():
                 if refs[node]:
@@ -248,6 +262,7 @@ class NodeStore:
     is last used, or its nodes may be swept and their ids reissued."""
 
     def __init__(self, num_levels: int, mode: str = MODE_NEW) -> None:
+        num_levels = as_index(num_levels, "level count")
         if num_levels < 1:
             raise ValueError("need at least one level")
         self.num_levels = num_levels

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .store import NodeStore, TERMINAL, ZERO_EDGE, ZERO_STUB
+from .store import NodeStore, TERMINAL, ZERO_EDGE
 from .weights import ONE, TOLERANCE, ZERO
 
 # A pair whose norm is at most 100 * TOLERANCE is a sum that cancelled
@@ -46,9 +46,9 @@ def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tupl
     if w0 == ZERO:
         if w1 == ZERO:
             return ZERO_EDGE
-        t0 = ZERO_STUB
+        t0 = TERMINAL
     elif w1 == ZERO:
-        t1 = ZERO_STUB
+        t1 = TERMINAL
     pairs = store.normal_pairs
     if (w0, w1) in pairs:
         return (store.vec.lookup(level, (t0, w0, t1, w1)), ONE)
@@ -63,7 +63,7 @@ def make_vector_node(store: NodeStore, level: int, e0: tuple, e1: tuple) -> tupl
     fh = wt.intern(factor.real, factor.imag)
     x0 = wt.intern_complex(wt.values[w0] / factor)
     x1 = wt.intern_complex(wt.values[w1] / factor)
-    if (x0 == ZERO and t0 != ZERO_STUB) or (x1 == ZERO and t1 != ZERO_STUB):
+    if (x0 == ZERO and w0 != ZERO) or (x1 == ZERO and w1 != ZERO):
         # A weight tiny next to the other interned to ZERO only after the
         # division. Drop it before normalizing, as a zero-edge caller would:
         # it may have been the lead that fixed the phase.
@@ -95,7 +95,7 @@ def amplitude(store: NodeStore, v: tuple, index: int) -> complex:
     """Product of edge weights along the path selected by index's bits,
     most significant bit at the top level."""
     target, w = v
-    if target == ZERO_STUB or w == ZERO:
+    if w == ZERO:
         return 0j
     store.vec.check(target)
     wt = store.weights
@@ -121,7 +121,7 @@ def vnorm2(store: NodeStore, v: tuple) -> float:
     """Squared 2-norm of the represented vector, computed bottom-up over
     its nodes, so its depth costs no recursion."""
     target, w = v
-    if target == ZERO_STUB or w == ZERO:
+    if w == ZERO:
         return 0.0
     mag2 = store.weights.mag2
     pool = store.vec

@@ -6,7 +6,7 @@ internals directly: a pool's `succ` list holds None for a swept id.
 
 from __future__ import annotations
 
-from qdd import make_vector_node, resembles_identity
+from qdd import TERMINAL, make_vector_node, resembles_identity
 from qdd.weights import ONE, ZERO
 
 
@@ -50,3 +50,14 @@ def identity_node_ids(store) -> list[int]:
     """Allocated matrix nodes that resemble identity; must be empty for
     any new-mode store."""
     return [node for node, _level, succ in nodes(store.mat) if resembles_identity(*succ)]
+
+
+def zero_weights_off_terminal(store) -> list[tuple[str, int]]:
+    """(kind, id) of the allocated nodes, vector and matrix, that hold a
+    ZERO weight on any target but TERMINAL; must be empty for any store."""
+    return [
+        (pool.kind, node)
+        for pool in (store.vec, store.mat)
+        for node, _level, succ in nodes(pool)
+        if any(w == ZERO and t != TERMINAL for t, w in zip(succ[::2], succ[1::2]))
+    ]

@@ -10,7 +10,7 @@ from dense import read_matrix, spec_matrix
 from invariants import identity_node_ids, nodes
 from qdd import GateSpec, NodeStore, gen_qft, make_gate_dd, make_matrix_node, matrix_entry
 from qdd.mdd import identity_chain, node_count, resembles_identity
-from qdd.store import MAT, TERMINAL, ZERO_EDGE, ZERO_STUB
+from qdd.store import MAT, TERMINAL, ZERO_EDGE
 from qdd.weights import ONE, ZERO
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -75,7 +75,7 @@ def test_weight_zeroed_by_normalization_gets_stub(store):
     tiny = make_matrix_node(store, 0, [two, (TERMINAL, wt.intern(1.5e-13)), ZERO_EDGE, minus_two])
     exact = make_matrix_node(store, 0, [two, ZERO_EDGE, ZERO_EDGE, minus_two])
     assert tiny == exact
-    assert store.mat.succ[tiny[0]][2:4] == (ZERO_STUB, ZERO)
+    assert store.mat.succ[tiny[0]][2:4] == (TERMINAL, ZERO)
 
 
 def test_h_gate_new_mode_one_node_weight(store):
@@ -135,6 +135,13 @@ def test_gate_spec_validation():
         GateSpec((1, 0, 0, 2), 0)  # not unitary
     with pytest.raises(ValueError):
         GateSpec((math.nan, 0, 0, 1), 0)  # every unitarity test is False on NaN
+    # complex() would parse a string entry and raise TypeError on None
+    for base in (("1", "0", "0", "1j"), (1, 0, 0, None), (b"1", 0, 0, 1)):
+        with pytest.raises(ValueError, match="not a number"):
+            GateSpec(base, 0)
+    # numpy scalars are numbers
+    spec = GateSpec((np.float64(1.0), np.int64(0), np.complex128(0), np.float32(1.0)), 0)
+    assert spec.base == (1, 0, 0, 1)
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dense import dft_matrix, read_matrix, read_state, simulate, unitary
+from invariants import zero_weights_off_terminal
 from qdd import (
     MAT,
     NodeStore,
@@ -22,15 +23,18 @@ from qdd import (
     gen_qft,
     gen_w,
     generate,
+    matrix_entry,
     parse_qasm,
     run_deep,
     simulate_statevector,
     simulate_unitary,
+    vnorm2,
 )
 from qdd.circuit import Circuit, Gate
 from qdd.mdd import node_count as matrix_node_count
 from qdd.store import ZERO_EDGE
 from qdd.vdd import node_count as vector_node_count
+from qdd.weights import ZERO
 
 S2 = 1.0 / math.sqrt(2.0)
 BELL = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n"
@@ -97,6 +101,7 @@ def test_qft4_unitary_matches_dft():
     store = NodeStore(4)
     u, _report = simulate_unitary(gen_qft(4), "new", store=store)
     assert np.abs(read_matrix(store, u, 4) - dft_matrix(4)).max() < 1e-10
+    assert zero_weights_off_terminal(store) == []
 
 
 @pytest.mark.parametrize("mode", ["new", "legacy"])
@@ -314,6 +319,32 @@ def test_dot_zero_edge_single_stub():
     # a zero root edge is drawn like any zero successor, and reaches no terminal
     dot = export_dot(NodeStore(2), ZERO_EDGE, VEC)
     assert dot == DOT_HEAD + f"  z0 {STUB}\n" + '  root -> z0 [label="0", style=dashed];\n}\n'
+
+
+ZERO_DOT = DOT_HEAD + f"  z0 {STUB}\n" + '  root -> z0 [label="0", style=dashed];\n}\n'
+
+
+@pytest.mark.parametrize(
+    "read, expected",
+    [
+        (lambda store: amplitude(store, ZERO_EDGE, 0), 0j),
+        (lambda store: vnorm2(store, ZERO_EDGE), 0.0),
+        (lambda store: matrix_entry(store, ZERO_EDGE, 1, 2, 2), 0j),
+        (lambda store: vector_node_count(store, ZERO_EDGE), 0),
+        (lambda store: matrix_node_count(store, ZERO_EDGE), 0),
+        (lambda store: export_dot(store, ZERO_EDGE, MAT), ZERO_DOT),
+    ],
+    ids=["amplitude", "vnorm2", "matrix_entry", "vec-node_count", "mat-node_count", "export_dot"],
+)
+def test_zero_edge_reads_as_zero(read, expected):
+    # the zero edge is the terminal edge of weight ZERO: every reader goes by
+    # the weight, and DOT draws a dashed stub, not the terminal box, for a
+    # matrix edge as for a vector edge (test_dot_zero_edge_single_stub)
+    assert ZERO_EDGE == (TERMINAL, ZERO)
+    store = NodeStore(2)
+    simulate_unitary(gen_qft(2), store=store)
+    simulate_statevector(gen_qft(2), store=store)
+    assert read(store) == expected
 
 
 def test_dot_golden_terminal_matrix_edge():

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from qdd import GateSpec, NodeStore, make_basis_state, make_gate_dd
+from qdd import GateSpec, NodeStore, make_basis_state, make_gate_dd, make_matrix_node
 from qdd.store import (
     ADD_M,
     ADD_V,
@@ -17,7 +17,6 @@ from qdd.store import (
     TERMINAL,
     VEC,
     ZERO_EDGE,
-    ZERO_STUB,
 )
 from qdd.vdd import amplitude, make_vector_node
 from qdd.weights import ONE, ZERO
@@ -31,7 +30,7 @@ def store():
 
 
 def basis_tuple(store):
-    return (TERMINAL, ONE, ZERO_STUB, ZERO)
+    return (TERMINAL, ONE, TERMINAL, ZERO)
 
 
 def test_ut_lookup_is_canonical(store):
@@ -53,14 +52,29 @@ def test_distinct_weights_distinct_nodes(store):
 def test_successor_level_must_be_below(store):
     node = store.vec.lookup(3, basis_tuple(store))
     with pytest.raises(StoreError):
-        store.vec.lookup(3, (node, ONE, ZERO_STUB, ZERO))
+        store.vec.lookup(3, (node, ONE, TERMINAL, ZERO))
     with pytest.raises(StoreError):
-        store.vec.lookup(2, (node, ONE, ZERO_STUB, ZERO))
+        store.vec.lookup(2, (node, ONE, TERMINAL, ZERO))
+    # a level outside the store is refused before a table is read: -1 would
+    # index the top level's table, where the node would then be found
+    small = NodeStore(2)
+    x = [ZERO_EDGE, (TERMINAL, ONE), (TERMINAL, ONE), ZERO_EDGE]
+    with pytest.raises(StoreError, match="level -1 is outside"):
+        make_matrix_node(small, -1, x)
+    assert small.mat.created == 0
+    with pytest.raises(StoreError, match="level 7 is outside"):
+        small.vec.lookup(7, basis_tuple(small))
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         NodeStore(3, mode="bogus")
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", None])
+def test_non_integer_level_count_rejected(bad):
+    with pytest.raises(ValueError, match="level count .* is not an integer"):
+        NodeStore(bad)
 
 
 def test_mode_fixed_once_matrix_nodes_exist(store):
@@ -143,12 +157,13 @@ def test_refcount_walk_on_a_swept_node_fails_before_counting(store):
         "reachable", "amplitude", "matrix_entry", "multiply_mv", "multiply_mm", "add_vectors",
         "amplitude-unissued", "inc_ref-unissued", "node_count-unissued",
         "multiply_mv-unissued", "amplitude-negative", "multiply_mv-negative",
+        "amplitude-minus-two", "matrix_entry-minus-two",
     ],
 )
 def test_swept_root_edge_fails_naming_the_node(entry):
     # an unreferenced edge kept across node GC names a free slot; while it
     # stays free, each entry point refuses it instead of reading None. An
-    # id the pool never issued, past its end or below ZERO_STUB, is
+    # id the pool never issued, past its end or below TERMINAL, is
     # refused the same way instead of raising IndexError or reading
     # from the end of the pool
     from qdd import add_vectors, matrix_entry, multiply_mm, multiply_mv
@@ -162,7 +177,8 @@ def test_swept_root_edge_fails_naming_the_node(entry):
     lost_state = make_basis_state(store, 4, "1010")
     lost_gate = make_gate_dd(store, GateSpec(X, 2), 4)
     store.collect_garbage()
-    past_end, negative = (10**6, ONE), (-5, ONE)
+    # -1 is the terminal, the only negative id a pool accepts
+    past_end, negative, minus_two = (10**6, ONE), (-5, ONE), (-2, ONE)
     calls = {
         "reachable": (VEC, lost_state, lambda: store.vec.reachable(lost_state[0])),
         "amplitude": (VEC, lost_state, lambda: amplitude(store, lost_state, 0)),
@@ -178,6 +194,10 @@ def test_swept_root_edge_fails_naming_the_node(entry):
         ),
         "amplitude-negative": (VEC, negative, lambda: amplitude(store, negative, 0)),
         "multiply_mv-negative": (MAT, negative, lambda: multiply_mv(store, negative, state)),
+        "amplitude-minus-two": (VEC, minus_two, lambda: amplitude(store, minus_two, 0)),
+        "matrix_entry-minus-two": (
+            MAT, minus_two, lambda: matrix_entry(store, minus_two, 0, 0, 4)
+        ),
     }
     kind, lost, call = calls[entry]
     if lost in (lost_state, lost_gate):
@@ -434,7 +454,7 @@ def test_automatic_gc_triggers_on_vector_pool_size():
     store.gc_limit = 64
     for k in range(80):  # distinct unreferenced level-0 nodes
         w = store.weights.intern(0.001 + k, 0.0)
-        store.vec.lookup(0, (TERMINAL, w, ZERO_STUB, ZERO))
+        store.vec.lookup(0, (TERMINAL, w, TERMINAL, ZERO))
     assert store.mat.allocated == 0
     assert store.maybe_collect() == 80
     assert store.gc_runs == 1
@@ -449,7 +469,7 @@ def test_automatic_gc_triggers_on_matrix_pool_size():
     store.gc_limit = 64
     for k in range(80):  # distinct unreferenced level-0 nodes
         w = store.weights.intern(0.001 + k, 0.0)
-        store.mat.lookup(0, (TERMINAL, w, ZERO_STUB, ZERO, ZERO_STUB, ZERO, TERMINAL, ONE))
+        store.mat.lookup(0, (TERMINAL, w, TERMINAL, ZERO, TERMINAL, ZERO, TERMINAL, ONE))
     assert store.vec.allocated <= store.gc_limit
     assert store.maybe_collect() == 80
     assert store.gc_runs == 1
@@ -465,7 +485,7 @@ def test_sweep_that_frees_under_a_quarter_doubles_gc_limit(kept, doubled):
     store.gc_limit = 64
     for k in range(80):
         w = store.weights.intern(0.001 + k, 0.0)
-        node = store.vec.lookup(0, (TERMINAL, w, ZERO_STUB, ZERO))
+        node = store.vec.lookup(0, (TERMINAL, w, TERMINAL, ZERO))
         if k < kept:
             store.inc_ref(VEC, (node, ONE))
     assert store.maybe_collect() == 80 - kept

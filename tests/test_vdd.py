@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense import build_vdd, random_state, read_state
-from invariants import check_fixed_points, check_normalization
+from invariants import check_fixed_points, check_normalization, zero_weights_off_terminal
 from qdd import (
     Circuit,
     NodeStore,
@@ -21,7 +21,7 @@ from qdd import (
     vnorm2,
 )
 from qdd.circuit import _GATES
-from qdd.store import TERMINAL, ZERO_EDGE, ZERO_STUB
+from qdd.store import TERMINAL, ZERO_EDGE
 from qdd.vdd import node_count
 from qdd.weights import ONE, ZERO
 
@@ -64,7 +64,7 @@ def test_weight_zeroed_by_normalization_gets_stub(store):
     tiny = (TERMINAL, wt.intern(1.5e-13))
     big = (TERMINAL, wt.intern(2.0))
     assert make_vector_node(store, 0, big, tiny) == make_vector_node(store, 0, big, ZERO_EDGE)
-    assert store.vec.succ[make_vector_node(store, 0, big, tiny)[0]] == (TERMINAL, ONE, ZERO_STUB, ZERO)
+    assert store.vec.succ[make_vector_node(store, 0, big, tiny)[0]] == (TERMINAL, ONE, TERMINAL, ZERO)
     # a tiny first weight also fixed the phase; dropping it must move the
     # lead to the second weight
     neg = (TERMINAL, wt.intern(-2.0))
@@ -278,6 +278,7 @@ def test_random_circuits_store_only_fixed_points(circuit):
         simulate_statevector(circuit, mode, store=store)
         assert check_normalization(store) == []
         assert check_fixed_points(store) == []
+        assert zero_weights_off_terminal(store) == []
 
 
 def _seeded_circuit(rng, n, gates):

@@ -1,12 +1,13 @@
-"""Count the bytecodes and Python calls of one statevector simulation.
+"""Count the bytecodes and Python calls of one simulation.
 
-    python3 tools/opcodes.py [src-dir] --family F --qubits N --mode M
+    python3 tools/opcodes.py [src-dir] --family F --qubits N --mode M [--kind K]
 
 Builds `generate(F, N)` and a store outside the count, then runs one
-`simulate_statevector` in that mode under `sys.settrace` and prints one
-JSON line: the family, qubits and mode, `opcodes` (bytecode instructions
-executed) and `calls` (Python frames entered, generator resumptions
-included). Unlike a timing, both figures are the same on every run and
+`simulate_statevector` (--kind statevector, the default) or
+`simulate_unitary` (--kind unitary) in that mode under `sys.settrace`
+and prints one JSON line: the family, qubits, mode and kind, `opcodes`
+(bytecode instructions executed) and `calls` (Python frames entered,
+generator resumptions included). Unlike a timing, both figures are the same on every run and
 every host of one Python version, so two source trees can be compared
 with one run each. The source directory defaults to src next to this
 script's parent.
@@ -28,11 +29,13 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--family", default="ghz")
     parser.add_argument("--qubits", type=int, default=128)
     parser.add_argument("--mode", choices=("new", "legacy"), default="new")
+    parser.add_argument("--kind", choices=("statevector", "unitary"), default="statevector")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    from qdd import NodeStore, generate, simulate_statevector
+    from qdd import NodeStore, generate, simulate_statevector, simulate_unitary
 
     circuit = generate(args.family, args.qubits)
+    simulate = simulate_unitary if args.kind == "unitary" else simulate_statevector
     store = NodeStore(circuit.n)
     counts = {"opcodes": 0, "calls": 0}
 
@@ -49,10 +52,11 @@ def main(argv: list[str]) -> int:
 
     sys.settrace(on_call)
     try:
-        simulate_statevector(circuit, args.mode, store=store)
+        simulate(circuit, args.mode, store=store)
     finally:
         sys.settrace(None)
-    print(json.dumps({"family": args.family, "qubits": args.qubits, "mode": args.mode, **counts}))
+    head = {"family": args.family, "qubits": args.qubits, "mode": args.mode, "kind": args.kind}
+    print(json.dumps({**head, **counts}))
     return 0
 
 
